@@ -499,13 +499,8 @@ python -m pytest benchmarks/ 2>&1 | tee benchmarks/results/full_run.log
 echo "== benchmark timings =="
 python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-echo "== perf probes (writes BENCH_sherlock.json; compares when one exists) =="
-if [ -f BENCH_sherlock.json ]; then
-    python -m repro.cli bench --output BENCH_sherlock.json \
-        --compare BENCH_sherlock.json
-else
-    python -m repro.cli bench --output BENCH_sherlock.json
-fi
+echo "== performance benchmark smoke (perfbench workloads at a tiny size) =="
+python3 -m pytest perfbench/test_smoke.py -q
 
 echo "== examples =="
 for example in examples/*.py; do

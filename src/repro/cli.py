@@ -1,4 +1,4 @@
-"""Command-line interface: ``sherlock compile|run|sweep|campaign|serve|bench|workloads``.
+"""Command-line interface: ``sherlock compile|run|sweep|campaign|serve|workloads``.
 
 Examples::
 
@@ -14,8 +14,6 @@ Examples::
     sherlock run --workload bitweaving --fault-map faults.json
     sherlock wear --workload bitweaving --tech pcm
     sherlock lifetime --synthetic 30 --trials 20 --endurance 100
-    sherlock bench --output BENCH_sherlock.json
-    sherlock bench --compare BENCH_previous.json --threshold 0.25
     sherlock workloads
 """
 
@@ -414,38 +412,6 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        BENCHMARKS,
-        collect_report,
-        compare_reports,
-        load_report,
-    )
-
-    if args.list:
-        rows = [[p.name, p.group, p.unit, p.better, p.description]
-                for _, p in sorted(BENCHMARKS.items())]
-        print(format_table(["probe", "group", "unit", "better",
-                            "description"], rows))
-        return 0
-    baseline = load_report(args.compare) if args.compare else None
-
-    def _progress(name: str) -> None:
-        print(f"bench: {name} ...", file=sys.stderr)
-
-    report = collect_report(args.probe, repeats=args.repeats,
-                            progress=_progress)
-    report.write(args.output)
-    print(report.render())
-    print(f"wrote {args.output}", file=sys.stderr)
-    if baseline is None:
-        return 0
-    comparison = compare_reports(baseline, report,
-                                 threshold=args.threshold)
-    print(comparison.render())
-    return 0 if comparison.ok else 1
-
-
 def _cmd_workloads(_args: argparse.Namespace) -> int:
     rows = [[w.name, w.description] for w in WORKLOADS.values()]
     print(format_table(["name", "description"], rows))
@@ -688,26 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_args(p)
     _add_fault_map_arg(p)
     p.set_defaults(func=_cmd_lifetime)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the timed benchmark probes and write BENCH_sherlock.json")
-    p.add_argument("--output", "-o", default="BENCH_sherlock.json",
-                   help="report file to write (schema-versioned JSON)")
-    p.add_argument("--repeats", type=_positive_int, default=5,
-                   help="timing repeats per probe (the report keeps the "
-                        "median)")
-    p.add_argument("--probe", action="append", metavar="NAME",
-                   help="probe or group to run (repeatable; default: all)")
-    p.add_argument("--list", action="store_true",
-                   help="list the registered probes and exit")
-    p.add_argument("--compare", metavar="BASELINE", default=None,
-                   help="compare against a previous report; exit 1 on "
-                        "regression")
-    p.add_argument("--threshold", type=float, default=0.25,
-                   help="relative regression threshold for --compare "
-                        "(default 0.25 = 25%%)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "serve",

@@ -19,6 +19,7 @@ from repro.core.compiler import (
     clear_compile_cache,
     compile_cache_info,
     compile_dag,
+    program_key,
 )
 from repro.core.config import TABLE2_CONFIGS, CompilerConfig
 from repro.core.passes import (
@@ -73,6 +74,7 @@ __all__ = [
     "default_pipeline",
     "load_program",
     "parse_pipeline",
+    "program_key",
     "register_pass",
     "save_program",
     "format_table",

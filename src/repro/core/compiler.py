@@ -9,8 +9,8 @@ Pipeline (run by the :mod:`repro.core.passes` pass manager)::
 The pass list is configurable (``CompilerConfig.pipeline``); every pass is
 timed and its IR statistics recorded on the resulting program
 (``CompiledProgram.pass_events``).  A process-level compile cache keyed by
-(DAG structural hash, target, config) lets repeated sweeps skip redundant
-recompiles.
+:func:`program_key` (DAG structural hash, target, config, fault-map
+digest) lets repeated sweeps skip redundant recompiles.
 
 A :class:`CompiledProgram` can be functionally executed against arbitrary
 inputs (and verified against the source DAG), priced into the Table 2
@@ -19,6 +19,9 @@ latency/energy metrics, and inspected as Fig. 4-style text.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import pathlib
 import random
 import time
@@ -62,6 +65,7 @@ __all__ = [
     "clear_compile_cache",
     "compile_cache_info",
     "compile_dag",
+    "program_key",
 ]
 
 
@@ -242,8 +246,34 @@ class CompiledProgram:
 # ----------------------------------------------------------------------
 # process-level compile cache
 # ----------------------------------------------------------------------
+def program_key(dag: DataFlowGraph, target: TargetSpec,
+                config: CompilerConfig, fault_map=None) -> str:
+    """The content key of one compilation request, as a hex digest.
+
+    ``sha256(DAG structural hash | target | config | fault-map digest)``
+    keys both the process compile cache and the persistent artifact
+    cache (:meth:`repro.serve.ArtifactCache.key_for`), so structurally
+    identical requests resolve to the same entry.  Fault-aware compiles
+    key on the map's *content digest* (:meth:`repro.devices.FaultMap.digest`):
+    a fleet of arrays with byte-identical maps shares entries while any
+    mutation (new wear, a remap diagnosis) changes the key and recompiles.
+    An empty map keys like no map at all.
+    """
+    from repro.core.serialize import target_to_dict
+
+    hasher = hashlib.sha256()
+    hasher.update(structural_hash(dag).encode())
+    hasher.update(json.dumps(target_to_dict(target),
+                             sort_keys=True).encode())
+    hasher.update(json.dumps(dataclasses.asdict(config),
+                             sort_keys=True).encode())
+    digest = fault_map.digest() if fault_map else None
+    hasher.update(f"|faults:{digest}".encode())
+    return hasher.hexdigest()
+
+
 class CompileCache:
-    """LRU memo of compiled programs keyed by (DAG hash, target, config).
+    """LRU memo of compiled programs keyed by :func:`program_key`.
 
     Sweeps and benchmarks recompile structurally identical DAGs with
     repeated configurations; the cache turns those recompiles into a
@@ -259,22 +289,9 @@ class CompileCache:
         self.max_instructions = max_instructions
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[tuple, CompiledProgram] = OrderedDict()
+        self._entries: OrderedDict[str, CompiledProgram] = OrderedDict()
 
-    def key(self, dag: DataFlowGraph, target: TargetSpec,
-            config: CompilerConfig, fault_map=None) -> tuple:
-        """The cache key of one compilation request.
-
-        Fault-aware compiles key on the map's *content digest*
-        (:meth:`repro.devices.FaultMap.digest`), so a fleet of degraded
-        arrays with byte-identical maps shares cache entries while any
-        mutation (new wear, a remap diagnosis) changes the key and
-        recompiles.
-        """
-        digest = fault_map.digest() if fault_map is not None else None
-        return (structural_hash(dag), target, config, digest)
-
-    def get(self, key: tuple) -> CompiledProgram | None:
+    def get(self, key: str) -> CompiledProgram | None:
         """Look up a prior compilation; counts a hit or miss."""
         program = self._entries.get(key)
         if program is None:
@@ -284,7 +301,7 @@ class CompileCache:
         self.hits += 1
         return program
 
-    def put(self, key: tuple, program: CompiledProgram) -> None:
+    def put(self, key: str, program: CompiledProgram) -> None:
         """Retain a compilation result, evicting the least recently used.
 
         The entry gets a private copy of the instruction list (instruction
@@ -294,7 +311,7 @@ class CompileCache:
         if len(program.mapping.instructions) > self.max_instructions:
             return
         self._entries[key] = _reissue(program, program.source_dag,
-                                      program.config)
+                                      program.config, program.fault_map)
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -326,16 +343,17 @@ def clear_compile_cache() -> None:
 
 
 def _reissue(cached: CompiledProgram, source_dag: DataFlowGraph,
-             config: CompilerConfig) -> CompiledProgram:
+             config: CompilerConfig, fault_map) -> CompiledProgram:
     """A fresh program view over a cached compilation.
 
     The immutable pieces (transformed DAG, layout, stats, instruction
     objects) are shared; the instruction *list* is copied so a caller
-    editing its program cannot corrupt the cache.
+    editing its program cannot corrupt the cache.  ``fault_map`` is the
+    map the program is issued against; it is copied for the same reason
+    (its content matches the cached entry's: the key digests it).
     """
     mapping = cached.mapping
-    fault_map = (cached.fault_map.copy()
-                 if cached.fault_map is not None else None)
+    fault_map = fault_map.copy() if fault_map is not None else None
     return CompiledProgram(
         source_dag=source_dag, dag=cached.dag, target=cached.target,
         config=config,
@@ -422,11 +440,11 @@ class SherlockCompiler:
         """
         key = None
         if self.cache:
-            key = _COMPILE_CACHE.key(dag, self.target, self.config,
-                                     self.fault_map)
+            key = program_key(dag, self.target, self.config,
+                              self.fault_map)
             cached = _COMPILE_CACHE.get(key)
             if cached is not None:
-                return _reissue(cached, dag, self.config)
+                return _reissue(cached, dag, self.config, self.fault_map)
         try:
             ctx = self.pass_manager().run(self._context(dag))
         except MappingError as exc:

@@ -115,10 +115,6 @@ class DeviceError(SherlockError):
     """Invalid device/technology parameters."""
 
 
-class BenchError(SherlockError):
-    """Invalid benchmark probe, report schema, or comparison request."""
-
-
 class RetryExhaustedError(SherlockError):
     """A retried operation kept failing until its attempt budget ran out.
 

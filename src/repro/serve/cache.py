@@ -3,8 +3,8 @@
 The process-level compile cache (:class:`repro.core.compiler.CompileCache`)
 dies with the process; a serving fleet wants compiled programs to survive
 restarts and be shared across arrays.  :class:`ArtifactCache` persists each
-:class:`~repro.core.compiler.CompiledProgram` as one JSON file under a
-content-derived key:
+:class:`~repro.core.compiler.CompiledProgram` as one JSON file under the
+content key both caches share (:func:`repro.core.program_key`):
 
     sha256(DAG structural hash | target | config | fault-map digest)
 
@@ -32,19 +32,13 @@ Durability properties the tests pin down:
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import pathlib
 import threading
 
-from repro.core.serialize import (
-    program_from_dict,
-    program_to_dict,
-    target_to_dict,
-)
-from repro.dfg.stats import structural_hash
+from repro.core.compiler import program_key
+from repro.core.serialize import program_from_dict, program_to_dict
 from repro.errors import SherlockError
 
 __all__ = ["ARTIFACT_SCHEMA", "ArtifactCache"]
@@ -87,22 +81,9 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # keys and paths
     # ------------------------------------------------------------------
-    @staticmethod
-    def key_for(dag, target, config, fault_map=None) -> str:
-        """The content key of one compilation request.
-
-        Mirrors :meth:`repro.core.compiler.CompileCache.key` but collapses
-        everything into one stable hex digest suitable for a filename.
-        """
-        hasher = hashlib.sha256()
-        hasher.update(structural_hash(dag).encode())
-        hasher.update(json.dumps(target_to_dict(target),
-                                 sort_keys=True).encode())
-        hasher.update(json.dumps(dataclasses.asdict(config),
-                                 sort_keys=True).encode())
-        digest = fault_map.digest() if fault_map else None
-        hasher.update(f"|faults:{digest}".encode())
-        return hasher.hexdigest()
+    #: the content key of one compilation request — :func:`repro.core.program_key`,
+    #: the same key the process compile cache uses
+    key_for = staticmethod(program_key)
 
     def path_for(self, key: str) -> pathlib.Path:
         """The entry file a key resolves to."""

@@ -62,7 +62,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.compiler import SherlockCompiler
 from repro.core.config import CompilerConfig
@@ -224,96 +224,65 @@ _LATENCY_WINDOW = 2048
 _SERVED_DAG_WINDOW = 32
 
 
+#: the plain counters of :class:`ServiceStats`, in snapshot order
+_COUNTERS = ("requests", "completed", "cim_served", "cpu_served", "shed",
+             "retries", "remaps", "proactive_recompiles", "deadline_misses",
+             "cim_failures", "errors", "queue_high_water", "votes",
+             "vote_disagreements", "placement_shifts")
+
+
 class ServiceStats:
     """Thread-safe counters and latency windows of one service instance."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.requests = 0
-        self.completed = 0
-        self.cim_served = 0
-        self.cpu_served = 0
-        self.shed = 0
-        self.retries = 0
-        self.remaps = 0
-        self.proactive_recompiles = 0
-        self.deadline_misses = 0
-        self.cim_failures = 0
-        self.errors = 0
-        self.queue_high_water = 0
-        self.votes = 0
-        self.vote_disagreements = 0
-        self.placement_shifts = 0
+        self._counters = dict.fromkeys(_COUNTERS, 0)
         self.placements: dict[int, int] = {}
         self._compile_s: list[float] = []
         self._execute_s: list[float] = []
         self._total_s: list[float] = []
 
+    def note(self, name: str, n: int = 1) -> None:
+        """Bump one named counter (``"shed"``, ``"retries"``, ...) by ``n``."""
+        with self._lock:
+            self._counters[name] += n
+
     def note_enqueue(self, depth: int) -> None:
         """Record an admitted request and the queue depth it saw."""
         with self._lock:
-            self.requests += 1
-            self.queue_high_water = max(self.queue_high_water, depth)
-
-    def note_shed(self) -> None:
-        """Record a request shed by admission control."""
-        with self._lock:
-            self.shed += 1
-
-    def note_retry(self) -> None:
-        """Record one worker-crash retry."""
-        with self._lock:
-            self.retries += 1
-
-    def note_remap(self) -> None:
-        """Record one in-service remap recompile."""
-        with self._lock:
-            self.remaps += 1
-
-    def note_proactive_recompile(self) -> None:
-        """Record one background health-triggered artifact recompile."""
-        with self._lock:
-            self.proactive_recompiles += 1
+            self._counters["requests"] += 1
+            self._counters["queue_high_water"] = max(
+                self._counters["queue_high_water"], depth)
 
     def note_vote(self, disagreements: int) -> None:
         """Record one voted execution and its out-voted minority size."""
         with self._lock:
-            self.votes += 1
-            self.vote_disagreements += disagreements
+            self._counters["votes"] += 1
+            self._counters["vote_disagreements"] += disagreements
 
     def note_placement(self, array_id: int, shifted: bool) -> None:
         """Record where one request was placed (and whether it moved)."""
         with self._lock:
             self.placements[array_id] = self.placements.get(array_id, 0) + 1
             if shifted:
-                self.placement_shifts += 1
+                self._counters["placement_shifts"] += 1
 
     def note_result(self, result: ServeResult) -> None:
         """Fold one finished request into the counters and windows."""
         with self._lock:
-            self.completed += 1
+            self._counters["completed"] += 1
             if result.error is not None:
-                self.errors += 1
+                self._counters["errors"] += 1
             elif result.engine == "cim":
-                self.cim_served += 1
+                self._counters["cim_served"] += 1
             else:
-                self.cpu_served += 1
+                self._counters["cpu_served"] += 1
             for window, value in ((self._compile_s, result.compile_s),
                                   (self._execute_s, result.execute_s),
                                   (self._total_s, result.total_s)):
                 window.append(value)
                 if len(window) > _LATENCY_WINDOW:
                     del window[:len(window) - _LATENCY_WINDOW]
-
-    def note_deadline_miss(self) -> None:
-        """Record one per-job deadline miss."""
-        with self._lock:
-            self.deadline_misses += 1
-
-    def note_cim_failure(self) -> None:
-        """Record one CIM-path failure (what feeds the breaker)."""
-        with self._lock:
-            self.cim_failures += 1
 
     def typical_latency_s(self) -> float:
         """Median end-to-end service time of recent requests (0 if none)."""
@@ -323,25 +292,9 @@ class ServiceStats:
     def snapshot(self) -> dict:
         """All counters plus p50/p90/p99 of every stage window."""
         with self._lock:
-            out = {
-                "requests": self.requests,
-                "completed": self.completed,
-                "cim_served": self.cim_served,
-                "cpu_served": self.cpu_served,
-                "shed": self.shed,
-                "retries": self.retries,
-                "remaps": self.remaps,
-                "proactive_recompiles": self.proactive_recompiles,
-                "deadline_misses": self.deadline_misses,
-                "cim_failures": self.cim_failures,
-                "errors": self.errors,
-                "queue_high_water": self.queue_high_water,
-                "votes": self.votes,
-                "vote_disagreements": self.vote_disagreements,
-                "placement_shifts": self.placement_shifts,
-                "placements": {a: self.placements[a]
-                               for a in sorted(self.placements)},
-            }
+            out = dict(self._counters)
+            out["placements"] = {a: self.placements[a]
+                                 for a in sorted(self.placements)}
             for stage, window in (("compile", self._compile_s),
                                   ("execute", self._execute_s),
                                   ("total", self._total_s)):
@@ -542,7 +495,7 @@ class CompileService:
             self._queue.put_nowait(job)
         except queue.Full:
             if not self._shed_and_admit(job):
-                self.stats_counters.note_shed()
+                self.stats_counters.note("shed")
                 depth = self._queue.qsize()
                 raise ServiceOverloadError(
                     f"service queue is full ({depth}/{self._queue_limit}); "
@@ -604,7 +557,7 @@ class CompileService:
                        f"(policy {self.shed_policy}, queue "
                        f"{self._queue.qsize()}/{self._queue_limit})"),
                 array_id=victim.request.array_id)
-            self.stats_counters.note_shed()
+            self.stats_counters.note("shed")
             self.stats_counters.note_result(victim.result)
             victim.event.set()
         if not evicted:
@@ -766,9 +719,9 @@ class CompileService:
                  result.compile_s, result.execute_s) = self._serve_cim(
                      job, placed)
             except SherlockError as error:
-                self.stats_counters.note_cim_failure()
+                self.stats_counters.note("cim_failures")
                 if isinstance(error, DeadlineExceededError):
-                    self.stats_counters.note_deadline_miss()
+                    self.stats_counters.note("deadline_misses")
                 self.breaker.record_failure()
                 self._sync_breaker_trips()
                 offload_reason = f"{type(error).__name__}: {error}"
@@ -815,7 +768,7 @@ class CompileService:
         fleet => trip the breaker, serve from CPU), and finally the
         breaker itself.
         """
-        healthy = self._healthy_fraction(array_id)
+        healthy = 1.0 - self._fault_density(array_id)
         if healthy < self.min_healthy_fraction:
             self.breaker.force_open()
             self._sync_breaker_trips()
@@ -846,6 +799,13 @@ class CompileService:
             known = set(self._fault_maps) | set(self._machine_faults)
         return sorted(known | set(self.health.tracked()))
 
+    def _fault_density(self, array_id: int) -> float:
+        """Known faults of one array over the whole fleet's cell count."""
+        with self._lock:
+            faults = len(self._fault_maps.get(array_id) or ())
+        total = self.target.num_arrays * self.target.rows * self.target.cols
+        return faults / max(1, total)
+
     def _placement_cost(self, array_id: int) -> float:
         """The placement score of one candidate (lower is better).
 
@@ -857,11 +817,7 @@ class CompileService:
         state = self.health.state_of(array_id)
         if state is ArrayHealth.QUARANTINED:
             return math.inf
-        with self._lock:
-            faults = len(self._fault_maps.get(array_id) or ())
-        total = max(1, self.target.num_arrays * self.target.rows
-                    * self.target.cols)
-        cost = faults / total
+        cost = self._fault_density(array_id)
         if state is ArrayHealth.DEGRADED:
             cost += self.placement_penalty
         return cost
@@ -897,13 +853,6 @@ class CompileService:
         for _ in range(new):
             self.health.note_breaker_trip()
 
-    def _healthy_fraction(self, array_id: int) -> float:
-        known = self._fault_maps.get(array_id)
-        if not known:
-            return 1.0
-        total = self.target.num_arrays * self.target.rows * self.target.cols
-        return 1.0 - len(known) / total
-
     # ------------------------------------------------------------------
     # the CIM path
     # ------------------------------------------------------------------
@@ -927,7 +876,7 @@ class CompileService:
 
         return retry_call(
             attempt, policy=self.retry_policy, sleep=self._sleep,
-            on_retry=lambda *_: self.stats_counters.note_retry(),
+            on_retry=lambda *_: self.stats_counters.note("retries"),
             label=f"serve:{request.request_id or 'request'}")
 
     def _known_map(self, array_id: int) -> FaultMap | None:
@@ -1172,7 +1121,7 @@ class CompileService:
             key = ArtifactCache.key_for(request.dag, self.target,
                                         config, remapped.fault_map)
             self.cache.put(key, remapped)
-        self.stats_counters.note_remap()
+        self.stats_counters.note("remaps")
         self._spawn_recompile(array_id)
         return remapped
 
@@ -1225,7 +1174,7 @@ class CompileService:
             except SherlockError:
                 continue
             self.cache.put(key, program)
-            self.stats_counters.note_proactive_recompile()
+            self.stats_counters.note("proactive_recompiles")
 
     # ------------------------------------------------------------------
     # observability

@@ -12,7 +12,7 @@ fence::
     ...
 
 Snippets execute inside a temporary working directory, so examples may
-freely write artifact files (``BENCH_sherlock.json``, ``artifacts/``).
+freely write artifact files (``faults.json``, ``artifacts/``).
 """
 
 from __future__ import annotations

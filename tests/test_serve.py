@@ -448,6 +448,95 @@ class TestCompileService:
         assert stats["completed"] == 9
 
 
+class TestStatsSchema:
+    """Pins the ``CompileService.stats()`` surface.
+
+    ``perfbench/serve_mixed.py`` and :meth:`CompileService.stats_text`
+    read these keys by name, so the set must not drift silently.
+    """
+
+    TOP_LEVEL = {
+        "requests", "completed", "cim_served", "cpu_served", "shed",
+        "retries", "remaps", "proactive_recompiles", "deadline_misses",
+        "cim_failures", "errors", "queue_high_water", "votes",
+        "vote_disagreements", "placement_shifts", "placements",
+        *(f"{stage}_p{q}_ms" for stage in ("compile", "execute", "total")
+          for q in (50, 90, 99)),
+        "queue_depth", "queue_limit", "workers", "shed_policy", "placement",
+        "breaker", "cache", "health", "scrub",
+    }
+    CACHE = {"hits", "misses", "quarantined", "writes", "evictions",
+             "entries"}
+    BREAKER = {"state", "trips", "consecutive_failures"}
+    SCRUB = {"passes", "cells_probed", "latent_faults_found", "sweeps",
+             "arrays"}
+    HEALTH = {"baseline", "degraded", "quarantined", "recovered",
+              "breaker_trips", "vote_disagreements", "arrays",
+              "transitions"}
+    HEALTH_ARRAY = {"state", "failure_rate", "window_rate", "samples",
+                    "probes", "retries", "faults_discovered", "hard_faults",
+                    "transitions", "scrub_probes", "scrub_faults",
+                    "vote_disagreements"}
+
+    def test_key_sets_and_counters(self, tmp_path):
+        from repro.serve import ScrubPolicy
+
+        dag = small_dag()
+        crashes = {"left": 1}
+
+        def chaos(stage, request):
+            if stage == "compile" and crashes["left"] > 0:
+                crashes["left"] -= 1
+                raise WorkerCrashError("worker killed mid-job (chaos)")
+
+        fleet = {0: FaultMap(), 1: FaultMap()}
+        with CompileService(small_target(), CompilerConfig(),
+                            cache=ArtifactCache(tmp_path), workers=1,
+                            queue_limit=4, machine_faults=fleet,
+                            scrub=ScrubPolicy(budget=32), chaos=chaos,
+                            sleep=lambda _s: None) as service:
+            service.process([
+                request_for(dag, request_id="single"),
+                request_for(dag, request_id="voted", redundancy=3),
+                ServeRequest(dag=dag, inputs={}, lanes=8, request_id="batch",
+                             input_sets=[inputs_for(dag, seed=s)
+                                         for s in range(3)]),
+            ])
+            service.scrub()
+            stats = service.stats()
+        assert set(stats) == self.TOP_LEVEL
+        assert set(stats["cache"]) == self.CACHE
+        assert set(stats["breaker"]) == self.BREAKER
+        assert set(stats["scrub"]) == self.SCRUB
+        assert set(stats["health"]) == self.HEALTH
+        assert set(stats["health"]["arrays"]) == {0, 1}
+        for entry in stats["health"]["arrays"].values():
+            assert set(entry) == self.HEALTH_ARRAY
+        counters = {key: stats[key] for key in (
+            "requests", "completed", "cim_served", "cpu_served", "shed",
+            "retries", "remaps", "deadline_misses", "cim_failures",
+            "errors", "votes", "vote_disagreements", "queue_limit",
+            "workers", "queue_depth")}
+        assert counters == {
+            "requests": 3, "completed": 3, "cim_served": 3, "cpu_served": 0,
+            "shed": 0, "retries": 1, "remaps": 0, "deadline_misses": 0,
+            "cim_failures": 0, "errors": 0, "votes": 1,
+            "vote_disagreements": 0, "queue_limit": 4, "workers": 1,
+            "queue_depth": 0}
+        assert 1 <= stats["queue_high_water"] <= 3
+        assert stats["cache"]["writes"] == 1 and stats["cache"]["hits"] == 2
+        assert stats["scrub"]["passes"] == 1
+        assert stats["scrub"]["cells_probed"] == 32
+        assert stats["breaker"]["state"] == "closed"
+        for stage in ("compile", "execute", "total"):
+            p50, p90, p99 = (stats[f"{stage}_p{q}_ms"] for q in (50, 90, 99))
+            assert 0.0 <= p50 <= p90 <= p99
+        assert stats["total_p50_ms"] > 0.0
+        text = service.stats_text()
+        assert "  retries: 1" in text and "  votes: 1" in text
+        assert "scrub: passes=1" in text and "  array 1: state=" in text
+
+
 # ----------------------------------------------------------------------
 # request parsing, batch mode, TCP mode, CLI
 # ----------------------------------------------------------------------
