@@ -88,6 +88,13 @@ def _trial_rng(seed: int, trial: int, salt: int) -> random.Random:
                          & 0xFFFFFFFFFFFFFFFF)
 
 
+def _trial_inputs(seed: int, trial: int, names: list[str],
+                  lanes: int) -> dict[str, int]:
+    """The random lane-bitmask inputs of one trial (its own stream)."""
+    input_rng = _trial_rng(seed, trial, 1)
+    return {name: input_rng.getrandbits(lanes) for name in names}
+
+
 def wilson_interval(failures: int, trials: int,
                     z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (default 95%).
@@ -281,11 +288,8 @@ def _vector_trial_block(program, first: int, count: int, seed: int,
     input_names = [operand.name for operand in program.source_dag.inputs()]
     trial_range = range(first, first + count)
     if inputs is None:
-        sets = []
-        for trial in trial_range:
-            input_rng = _trial_rng(seed, trial, 1)
-            sets.append({name: input_rng.getrandbits(lanes)
-                         for name in input_names})
+        sets = [_trial_inputs(seed, trial, input_names, lanes)
+                for trial in trial_range]
     else:
         sets = [inputs] * count
     keys = [(seed * _MIX_A + trial * _MIX_B + 2) & 0xFFFFFFFFFFFFFFFF
@@ -296,6 +300,60 @@ def _vector_trial_block(program, first: int, count: int, seed: int,
     outcome.decision_failures = int((flips > 0).sum())
     outcome.output_failures = int(mismatch.sum())
     return outcome
+
+
+#: lane width of one packed reference evaluation: bounds the size of the
+#: integers ``evaluate`` holds per operand when a trial block is large
+_REFERENCE_LANES = 4096
+
+
+def _reference_outputs(dag, input_sets: list[dict[str, int]],
+                       lanes: int) -> list[dict[str, int]]:
+    """:func:`evaluate` of every input set, from one lane-parallel call.
+
+    Set ``i`` occupies lanes ``[i * lanes, (i + 1) * lanes)`` of one
+    ``len(input_sets) * lanes``-lane evaluation, and its outputs are sliced
+    back out of the same lanes.  ``evaluate`` is lane-parallel, so this is
+    the same oracle.  A set that ``evaluate`` would reject on its own
+    (missing or unknown name, value wider than ``lanes``) is handed to it
+    alone to raise its exact :class:`~repro.errors.GraphError`, so no value
+    can ever bleed into a neighbour's lanes.
+    """
+    mask = (1 << lanes) - 1
+    packed = {operand.name: 0 for operand in dag.inputs()}
+    for slot, inputs in enumerate(input_sets):
+        if inputs.keys() != packed.keys() or not all(
+                0 <= value <= mask for value in inputs.values()):
+            evaluate(dag, inputs, lanes)  # raises this set's GraphError
+        shift = slot * lanes
+        for name, value in inputs.items():
+            packed[name] |= value << shift
+    wide = evaluate(dag, packed, len(input_sets) * lanes)
+    return [{name: (value >> (slot * lanes)) & mask
+             for name, value in wide.items()}
+            for slot in range(len(input_sets))]
+
+
+def _trial_references(dag, first: int, count: int, seed: int, lanes: int,
+                      inputs: dict[str, int] | None):
+    """Yield ``(inputs, reference outputs)`` for trials ``first, ...``.
+
+    Caller-fixed ``inputs`` are evaluated once for the whole block;
+    generated inputs are evaluated side by side, up to
+    ``_REFERENCE_LANES`` lanes per :func:`evaluate` call.
+    """
+    if inputs is not None:
+        expected = evaluate(dag, inputs, lanes)
+        for _ in range(count):
+            yield inputs, expected
+        return
+    names = [operand.name for operand in dag.inputs()]
+    per_call = max(1, _REFERENCE_LANES // lanes)
+    end = first + count
+    for start in range(first, end, per_call):
+        sets = [_trial_inputs(seed, trial, names, lanes)
+                for trial in range(start, min(start + per_call, end))]
+        yield from zip(sets, _reference_outputs(dag, sets, lanes))
 
 
 def run_trial_block(program, first: int, count: int, seed: int,
@@ -320,17 +378,11 @@ def run_trial_block(program, first: int, count: int, seed: int,
         return _vector_trial_block(program, first, count, seed, lanes,
                                    inputs)
     kwargs = dict(policy_kwargs or {})
-    input_names = [operand.name for operand in program.source_dag.inputs()]
     outcome = ShardOutcome()
-    for trial in range(first, first + count):
+    references = _trial_references(program.source_dag, first, count, seed,
+                                   lanes, inputs)
+    for trial, (trial_inputs, expected) in enumerate(references, first):
         fault_rng = _trial_rng(seed, trial, 2)
-        if inputs is None:
-            input_rng = _trial_rng(seed, trial, 1)
-            trial_inputs = {name: input_rng.getrandbits(lanes)
-                            for name in input_names}
-        else:
-            trial_inputs = inputs
-        expected = evaluate(program.source_dag, trial_inputs, lanes)
         trial_policy = get_policy(policy, **kwargs)
         outputs = trial_policy.execute(program, trial_inputs, lanes,
                                        fault_rng, expected=expected)

@@ -29,7 +29,7 @@ overhead of reliability lands in the same units as the base schedule
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.dfg.evaluate import evaluate
 from repro.dfg.ops import OpType, apply_op
@@ -176,14 +176,37 @@ class NoRecovery(RecoveryPolicy):
 class _SensePolicy(RecoveryPolicy):
     """A policy that intercepts every sensed CIM column value."""
 
+    def __init__(self) -> None:
+        super().__init__()
+        #: priced one-column re-sense per activated-row count, per run
+        self._sense_costs: dict[int, tuple[int, float]] = {}
+
+    def _sense_cost(self, machine: ArrayMachine, k: int) -> tuple[int, float]:
+        """(cycles, pJ) of re-sensing one column on ``k`` rows (memoized)."""
+        try:
+            return self._sense_costs[k]
+        except KeyError:
+            cost = self._sense_costs[k] = read_cost(machine.target, k, 1)
+            return cost
+
     def execute(self, program, inputs: dict[str, int], lanes: int = 64,
                 fault_rng: random.Random | int | None = None,
                 expected: dict[str, int] | None = None) -> dict[str, int]:
-        """Run the program with this policy hooked into every sense."""
+        """Run the program with this policy hooked into every sense.
+
+        The machine stays on :attr:`machine` for fault accounting, but its
+        observer back-reference is dropped once the run ends: policy and
+        machine would otherwise form a reference cycle that only a full
+        garbage-collection pass frees, cells and all.
+        """
+        self._sense_costs.clear()  # the costs are the target's
         machine = self._make_machine(program, lanes, fault_rng, observer=self)
-        preload_sources(machine, program.layout, program.dag, inputs)
-        machine.run(program.instructions)
-        return extract_outputs(machine, program.layout, program.dag)
+        try:
+            preload_sources(machine, program.layout, program.dag, inputs)
+            machine.run(program.instructions)
+            return extract_outputs(machine, program.layout, program.dag)
+        finally:
+            machine.observer = None
 
     def on_sense(self, machine: ArrayMachine, op: OpType | None, k: int,
                  values: list[int], result: int, resense) -> int:
@@ -239,11 +262,11 @@ class RereadVote(_SensePolicy):
             return result  # plain single-row reads are not CIM decisions
         senses = [result] + [resense() for _ in range(self.votes - 1)]
         extra = self.votes - 1
-        cycles, energy = read_cost(machine.target, k, 1)
+        cycles, energy = self._sense_cost(machine, k)
         self.stats.extra_senses += extra
         self.stats.charge(extra * cycles, extra * energy)
         self.stats.votes += 1
-        if any(s != senses[0] for s in senses[1:]):
+        if senses.count(result) != self.votes:
             self.stats.disagreements += 1
         return _majority(senses, machine.mask)
 
@@ -265,7 +288,7 @@ class DegradeMra(_SensePolicy):
         """Accept agreeing senses; degrade a persistently suspect read."""
         if op is None:
             return result
-        cycles, energy = read_cost(machine.target, k, 1)
+        cycles, energy = self._sense_cost(machine, k)
         second = resense()
         self.stats.extra_senses += 1
         self.stats.charge(cycles, energy)
@@ -351,10 +374,11 @@ class CheckpointReplay(RecoveryPolicy):
         instructions = program.instructions
         checkpoints = [(0, machine.snapshot())]
         self.stats.checkpoints += 1
-        for pc, inst in enumerate(instructions):
-            machine.execute(inst)
-            if (pc + 1) % self.interval == 0 and pc + 1 < len(instructions):
-                checkpoints.append((pc + 1, machine.snapshot()))
+        for start in range(0, len(instructions), self.interval):
+            end = start + self.interval
+            machine.run(instructions[start:end])
+            if end < len(instructions):
+                checkpoints.append((end, machine.snapshot()))
                 self.stats.checkpoints += 1
         outputs = extract_outputs(machine, program.layout, program.dag)
         attempt = 0
@@ -365,8 +389,7 @@ class CheckpointReplay(RecoveryPolicy):
             machine.restore(state)
             self.stats.rollbacks += 1
             replay = instructions[start_pc:]
-            for inst in replay:
-                machine.execute(inst)
+            machine.run(replay)
             self.stats.replayed_instructions += len(replay)
             replay_metrics = analyze_trace(replay, program.target)
             self.stats.charge(replay_metrics.latency_cycles,

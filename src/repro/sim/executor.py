@@ -46,6 +46,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import and_, or_, xor
 from typing import Protocol
 
 from repro.arch.isa import (
@@ -60,7 +62,7 @@ from repro.arch.isa import (
 from repro.arch.layout import CellAddr, Layout
 from repro.arch.target import TargetSpec
 from repro.devices.faultmap import FaultMap
-from repro.dfg.ops import OpType, apply_op
+from repro.dfg.ops import OpType
 from repro.errors import HardFaultError, SimulationError
 from repro.sim.metrics import MultiArrayMetrics, OverlapTimeline, cached_p_df
 
@@ -78,6 +80,22 @@ class SenseObserver(Protocol):
                  values: list[int], result: int, resense) -> int:
         """Return the value to deposit in the row buffer for this column."""
         ...
+
+
+#: marks a read loop that has not resolved its first column's op yet
+_UNRESOLVED = object()
+
+#: per-op sense kernels of the read loop.  ``ReadInst`` already guarantees
+#: a CIM op senses at least two rows and is never NOT, so the arity check
+#: of :func:`repro.dfg.ops.apply_op` is not repeated per column.
+_SENSE_KERNELS = {
+    OpType.AND: lambda values, mask: reduce(and_, values) & mask,
+    OpType.OR: lambda values, mask: reduce(or_, values) & mask,
+    OpType.XOR: lambda values, mask: reduce(xor, values) & mask,
+    OpType.NAND: lambda values, mask: ~reduce(and_, values) & mask,
+    OpType.NOR: lambda values, mask: ~reduce(or_, values) & mask,
+    OpType.XNOR: lambda values, mask: ~reduce(xor, values) & mask,
+}
 
 
 @dataclass
@@ -146,6 +164,8 @@ class ArrayMachine:
         self.write_failures_injected = 0
         self.writes_verified = 0
         self.write_retries_used = 0
+        #: ``log(1 - P_DF)`` per sensed ``(op, k)``, filled on first use
+        self._log_keep: dict[tuple[OpType | None, int], float] = {}
         self._cells: dict[tuple[int, int, int], int] = {}  # (array,row,col) -> lanes
         self._rowbuf: dict[int, dict[int, int]] = {}  # array -> col -> lanes
         #: per-array set of row-buffer columns holding live (unconsumed) data
@@ -180,18 +200,28 @@ class ArrayMachine:
             return self.discovered_faults.fault_at(*key)
         return None
 
-    def _load(self, array: int, row: int, col: int) -> int:
-        """Cell contents as the sense amp sees them: remapped, fault-forced."""
-        key = self._phys((array, row, col))
+    def _forcing(self) -> bool:
+        """Whether any cell access may be remapped or fault-forced."""
+        return bool(self.fault_map or self.discovered_faults or self._remap)
+
+    def _forced_load(self, key: tuple[int, int, int]) -> int:
+        """Cell contents as the sense amp sees them: remapped, fault-forced.
+
+        Raises ``KeyError`` for a cell that was never written; callers
+        turn that into the addressed :class:`SimulationError`.
+        """
+        key = self._phys(key)
         fault = self._cell_fault(key)
         if fault is not None:
             return fault.forced_value(self.mask)
-        try:
-            return self._cells[key]
-        except KeyError:
-            raise SimulationError(
-                f"read of uninitialized cell (array={array}, row={row}, "
-                f"col={col})") from None
+        return self._cells[key]
+
+    def _in_bounds(self, array: int, rows, cols) -> bool:
+        """Whether every ``(row, col)`` of one instruction is on the target."""
+        t = self.target
+        return (0 <= array < t.num_arrays and 0 <= min(rows)
+                and max(rows) < t.rows and 0 <= min(cols)
+                and max(cols) < t.cols)
 
     def poke(self, addr: CellAddr, value: int) -> None:
         """Directly set a cell (used to preload resident input data).
@@ -208,12 +238,8 @@ class ArrayMachine:
     def peek(self, addr: CellAddr) -> int:
         """Directly observe a cell (remapped and fault-forced like a sense)."""
         self._check_addr(addr.array, addr.row, addr.col)
-        key = self._phys((addr.array, addr.row, addr.col))
-        fault = self._cell_fault(key)
-        if fault is not None:
-            return fault.forced_value(self.mask)
         try:
-            return self._cells[key]
+            return self._forced_load((addr.array, addr.row, addr.col))
         except KeyError:
             raise SimulationError(
                 f"cell (array={addr.array}, row={addr.row}, col={addr.col}) "
@@ -258,44 +284,95 @@ class ArrayMachine:
 
     def execute(self, inst: Instruction) -> None:
         """Execute one instruction."""
-        if isinstance(inst, ReadInst):
-            self._read(inst)
-        elif isinstance(inst, WriteInst):
-            self._write(inst)
-        elif isinstance(inst, ShiftInst):
-            self._shift(inst)
-        elif isinstance(inst, NotInst):
-            self._not(inst)
-        elif isinstance(inst, TransferInst):
-            self._transfer(inst)
-        else:
-            raise SimulationError(f"unknown instruction {inst!r}")
+        try:
+            handler = self._HANDLERS[type(inst)]
+        except KeyError:
+            raise SimulationError(f"unknown instruction {inst!r}") from None
+        handler(self, inst)
 
     def _read(self, inst: ReadInst) -> None:
-        buf = self._rowbuf.setdefault(inst.array, {})
-        k = len(inst.rows)
-        for idx, col in enumerate(inst.cols):
-            values = []
+        array, rows, cols, ops = inst.array, inst.rows, inst.cols, inst.ops
+        if not self._in_bounds(array, rows, cols):
+            self._raise_read_error(inst)
+        load = self._forced_load if self._forcing() else self._cells.__getitem__
+        buf = self._rowbuf.setdefault(array, {})
+        mask = self.mask
+        flip = None if self.fault_rng is None else self._flip
+        observer = self.observer
+        k = len(rows)
+        kernel = log_keep = None
+        last_op = _UNRESOLVED
+        try:
+            for idx, col in enumerate(cols):
+                values = [load((array, row, col)) for row in rows]
+                op = None if ops is None else ops[idx]
+                if op is not last_op:  # a read's columns mostly share an op
+                    last_op = op
+                    kernel = None if op is None else _SENSE_KERNELS[op]
+                    if flip is not None:
+                        log_keep = self._log_keep_of(op, k)
+                true_value = values[0] if kernel is None else kernel(values, mask)
+                result = true_value if flip is None else flip(true_value, log_keep)
+                if observer is not None:
+                    # a re-sense is another (possibly faulty) sensing of
+                    # the same column, drawing fresh faults
+                    resense = (partial(flip, true_value, log_keep)
+                               if flip is not None
+                               else partial(_identity, true_value))
+                    result = observer.on_sense(self, op, k, values, result,
+                                               resense)
+                buf[col] = result
+        except KeyError:
+            self._raise_read_error(inst)
+            raise
+        self._live[array] = set(cols)
+
+    def _raise_read_error(self, inst: ReadInst) -> None:
+        """Raise the first per-cell error of a read, in execution order.
+
+        The read loop checks bounds once per instruction and lets a missing
+        cell surface as ``KeyError``; this re-walk names the exact cell.
+        """
+        array = inst.array
+        for col in inst.cols:
             for row in inst.rows:
-                self._check_addr(inst.array, row, col)
-                values.append(self._load(inst.array, row, col))
-            op = None if inst.ops is None else inst.ops[idx]
-            true_value = values[0] if op is None else apply_op(op, values, self.mask)
+                self._check_addr(array, row, col)
+                try:
+                    self._forced_load((array, row, col))
+                except KeyError:
+                    raise SimulationError(
+                        f"read of uninitialized cell (array={array}, "
+                        f"row={row}, col={col})") from None
 
-            def sense(op=op, true_value=true_value):
-                """One (possibly faulty) sensing of this column."""
-                if self.fault_rng is None:
-                    return true_value
-                return self._inject(true_value, op, k)
+    def _log_keep_of(self, op: OpType | None, k: int) -> float:
+        """``log(1 - P_DF)`` of one sense, memoized per ``(op, k)``.
 
-            result = sense()
-            if self.observer is not None:
-                result = self.observer.on_sense(self, op, k, values, result, sense)
-            buf[col] = result
-        self._live[inst.array] = set(inst.cols)
+        ``0.0`` means the sense never flips, ``-inf`` that it always does.
+        """
+        try:
+            return self._log_keep[op, k]
+        except KeyError:
+            pass
+        tech = self.target.technology
+        if op is None:
+            p = cached_p_df(tech, OpType.NOT, 1)
+        else:
+            p = cached_p_df(tech, op, k)
+        if p <= 0.0:
+            log_keep = 0.0
+        elif p >= 1.0:
+            log_keep = -math.inf
+        else:
+            log_keep = math.log1p(-p)
+        self._log_keep[op, k] = log_keep
+        return log_keep
 
     def _inject(self, value: int, op: OpType | None, k: int) -> int:
-        """Flip sensed lanes with the per-lane decision-failure probability.
+        """Flip sensed lanes with the per-lane decision-failure probability."""
+        return self._flip(value, self._log_keep_of(op, k))
+
+    def _flip(self, value: int, log_keep: float) -> int:
+        """Flip lanes of one sensed value, each with ``1 - exp(log_keep)``.
 
         Flip positions are drawn with geometric gap sampling — the lane index
         jumps ahead by a Geometric(p) stride per flip — which is distribution-
@@ -303,24 +380,21 @@ class ArrayMachine:
         flips + 1) instead of O(lanes), keeping large-lane Monte-Carlo
         campaigns fast.
         """
-        tech = self.target.technology
-        if op is None:
-            p = cached_p_df(tech, OpType.NOT, 1)
-        else:
-            p = cached_p_df(tech, op, k)
-        if p <= 0.0:
+        if log_keep == 0.0:
             return value
-        if p >= 1.0:
+        if log_keep == -math.inf:
             self.injected_faults += self.lanes
             return value ^ self.mask
-        log_keep = math.log1p(-p)
+        draw = self.fault_rng.random
+        log = math.log
+        lanes = self.lanes
         lane = 0
         flips = 0
         while True:
             # u in (0, 1]: the gap to the next flipped lane is Geometric(p)
-            u = 1.0 - self.fault_rng.random()
-            lane += int(math.log(u) / log_keep)
-            if lane >= self.lanes:
+            u = 1.0 - draw()
+            lane += int(log(u) / log_keep)
+            if lane >= lanes:
                 break
             value ^= 1 << lane
             flips += 1
@@ -329,14 +403,28 @@ class ArrayMachine:
         return value
 
     def _write(self, inst: WriteInst) -> None:
-        buf = self._rowbuf.get(inst.array, {})
-        for col in inst.cols:
-            self._check_addr(inst.array, inst.row, col)
+        array, row, cols = inst.array, inst.row, inst.cols
+        buf = self._rowbuf.get(array, {})
+        if not self._in_bounds(array, (row,), cols):
+            # name the first failing column exactly as a per-cell walk would
+            for col in cols:
+                self._check_addr(array, row, col)
+                if col not in buf:
+                    raise _empty_write(array, col)
+        # plain cells are stored inline; anything that may verify, remap or
+        # bounce off a fault goes through the full commit ladder
+        commit = (self._commit if self.verify_writes or self._forcing()
+                  else None)
+        cells, counts = self._cells, self.write_counts
+        for col in cols:
             if col not in buf:
-                raise SimulationError(
-                    f"write from empty row-buffer column {col} "
-                    f"(array {inst.array})")
-            self._commit(inst.array, inst.row, col, buf[col])
+                raise _empty_write(array, col)
+            if commit is None:
+                key = (array, row, col)
+                cells[key] = buf[col]
+                counts[key] = counts.get(key, 0) + 1
+            else:
+                commit(array, row, col, buf[col])
 
     def _attempt_store(self, key: tuple[int, int, int], value: int) -> None:
         """One write pulse: may transiently corrupt, bounces off faulty cells.
@@ -460,6 +548,20 @@ class ArrayMachine:
                     f"(array {inst.array})")
             dst[col] = src[col]
         self._live[inst.dst_array] = set(inst.cols)
+
+    #: instruction type -> handler, one lookup per executed instruction
+    _HANDLERS = {ReadInst: _read, WriteInst: _write, ShiftInst: _shift,
+                 NotInst: _not, TransferInst: _transfer}
+
+
+def _empty_write(array: int, col: int) -> SimulationError:
+    return SimulationError(
+        f"write from empty row-buffer column {col} (array {array})")
+
+
+def _identity(value: int) -> int:
+    """The re-sense of a fault-free machine: the true column value."""
+    return value
 
 
 class ArraySetMachine:

@@ -1,6 +1,8 @@
 """Unit tests for the detect-and-recover execution policies."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -264,3 +266,32 @@ class TestNoRecovery:
         assert out_policy == out_direct
         assert policy.machine is not None
         assert policy.stats == RecoveryStats()
+
+
+class TestMachineLifetime:
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_trial_machine_is_freed_without_gc(self, name):
+        """A policy keeps its last machine for fault accounting but holds
+        it in no reference cycle: dropping the policy frees the machine
+        and its cells by reference counting alone."""
+        program = faulty_program()
+        lanes = 8
+        policy = get_policy(name)
+        gc.disable()
+        try:
+            policy.execute(program, random_inputs(program, lanes), lanes,
+                           random.Random(1))
+            assert policy.machine.injected_faults >= 0
+            machine = weakref.ref(policy.machine)
+            del policy
+            assert machine() is None
+        finally:
+            gc.enable()
+
+    def test_observer_is_unhooked_after_execute(self):
+        program = faulty_program()
+        policy = RereadVote()
+        policy.execute(program, random_inputs(program, 8), 8,
+                       random.Random(1))
+        assert policy.machine.observer is None
+        assert policy.stats.votes > 0

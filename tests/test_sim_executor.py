@@ -7,6 +7,7 @@ import pytest
 
 from repro.arch import (
     CellAddr,
+    Instruction,
     NotInst,
     ReadInst,
     ShiftInst,
@@ -14,7 +15,7 @@ from repro.arch import (
     TransferInst,
     WriteInst,
 )
-from repro.devices import RERAM, STT_MRAM
+from repro.devices import RERAM, STT_MRAM, CellFault, FaultMap
 from repro.devices.failure import decision_failure_probability
 from repro.dfg import OpType
 from repro.dfg.ops import apply_op
@@ -94,6 +95,46 @@ class TestReadWrite:
         m = make_machine()
         with pytest.raises(SimulationError):
             m.run([WriteInst(0, (0,), 0)])
+
+
+class TestPerInstructionChecks:
+    """Bounds are checked once per instruction; a failing instruction must
+    still raise the error a per-cell walk in execution order would."""
+
+    @pytest.mark.parametrize("inst,message", [
+        (ReadInst(0, (99,), (0,)),
+         r"address \(array=0, row=0, col=99\) outside target 2x16x8"),
+        (ReadInst(0, (2,), (0, 30), (OpType.AND,)),
+         r"address \(array=0, row=30, col=2\) outside"),
+        (ReadInst(5, (0,), (0,)), r"address \(array=5, row=0, col=0\)"),
+        # column 1 comes first and is merely uninitialized
+        (ReadInst(0, (1, 99), (0,)),
+         r"read of uninitialized cell \(array=0, row=0, col=1\)"),
+        (ReadInst(0, (2, 3), (0, 1), (OpType.OR, OpType.OR)),
+         r"read of uninitialized cell \(array=0, row=1, col=3\)"),
+        (WriteInst(0, (2, 99), 4),
+         r"address \(array=0, row=4, col=99\) outside"),
+        (WriteInst(0, (2,), 16), r"address \(array=0, row=16, col=2\)"),
+        # column 5 comes first and has nothing buffered
+        (WriteInst(0, (5, 99), 4), r"write from empty row-buffer column 5"),
+        (WriteInst(0, (2, 5), 4), r"write from empty row-buffer column 5"),
+    ])
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_first_failing_cell_is_named(self, inst, message, faulty):
+        fault_map = FaultMap()
+        if faulty:  # the remapping / fault-forcing access path
+            fault_map.set_fault(1, 0, 0, CellFault.STUCK1)
+        m = make_machine(machine_kwargs={"fault_map": fault_map})
+        for row in (0, 1):
+            m.poke(CellAddr(0, row, 2), 0b1010)
+        m.poke(CellAddr(0, 0, 3), 0b0110)
+        m.execute(ReadInst(0, (2,), (0,)))
+        with pytest.raises(SimulationError, match=message):
+            m.execute(inst)
+
+    def test_unknown_instruction_raises(self):
+        with pytest.raises(SimulationError, match="unknown instruction"):
+            make_machine().execute(Instruction(0))
 
 
 class TestShiftNotTransfer:
