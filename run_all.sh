@@ -50,6 +50,10 @@ printf '[{}, {"s0_x[0]": 5}, {"s1_x[3]": 255}]\n' > "$BATCH_TMP/batch.json"
 python -m repro.cli run --workload bitweaving \
     --batch "$BATCH_TMP/batch.json" --engine vectorized
 
+echo "== staged-program campaign smoke (recovery on a spill-and-partition program) =="
+python -m repro.cli campaign --workload bfs --size 32 --arrays 1 --trials 3 \
+    --lanes 8 --policy reread-vote
+
 echo "== full fault-injection campaigns (marker-gated tests) =="
 python -m pytest tests/ -m campaign 2>&1 | tee campaign_output.txt
 

@@ -377,8 +377,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
         wear_leveling=not args.no_wear_leveling,
         rotation_stride=args.stride, horizon=args.horizon,
         fault_map=_fault_map_of(args), validate=args.validate,
-        lanes=args.lanes, engine=args.engine,
-        checkpoint=args.checkpoint)
+        lanes=args.lanes, checkpoint=args.checkpoint)
     summary = result.summary()
     print(f"lifetime campaign: {result.program_name} on "
           f"{result.technology.lower()} "
@@ -644,9 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(exit 1 on any mismatch)")
     p.add_argument("--lanes", type=int, default=16,
                    help="lanes for --validate executions")
-    p.add_argument("--engine", type=_engine_arg, default="auto",
-                   help="backend for --validate executions: auto | "
-                        "interpreted | vectorized")
     p.add_argument("--checkpoint", metavar="FILE", default=None,
                    help="journal completed aging trials to FILE; rerunning "
                         "with the same seed resumes the campaign "

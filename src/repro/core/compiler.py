@@ -46,8 +46,8 @@ from repro.dfg.graph import DataFlowGraph
 from repro.dfg.stats import graph_stats, structural_hash
 from repro.errors import CapacityError, MappingError, SherlockError
 from repro.mapping.base import MappingResult
-from repro.mapping.partition import Stage, combined_mapping, execute_staged, map_partitioned
-from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
+from repro.mapping.partition import Stage, combined_mapping, map_partitioned, run_program
+from repro.sim.executor import ArrayMachine
 from repro.sim.vectorized import resolve_engine
 from repro.sim.metrics import (
     MultiArrayMetrics,
@@ -142,25 +142,34 @@ class CompiledProgram:
         """The program in the Fig. 4 instruction format."""
         return program_text(self.instructions)
 
+    @property
+    def spare_pool(self):
+        """The layout's free cells that verify-path remapping may use."""
+        return self.layout.spare_cells()
+
     def machine(self, lanes: int = 64,
                 fault_rng: random.Random | int | None = None,
-                observer=None, verify_writes: bool = False) -> ArrayMachine:
-        """An :class:`ArrayMachine` configured for this program.
+                observer=None, verify_writes: bool = False, *,
+                fault_map=None, spare_cells: bool = True) -> ArrayMachine:
+        """The :class:`ArrayMachine` for this program: the one builder
+        every interpreted run uses.
 
-        The machine carries the program's fault map, and with
+        The machine carries the program's fault map (or ``fault_map``, a
+        different ground truth such as a serve array's real map), and with
         ``verify_writes`` also verify-after-write (``config.write_retries``
-        re-attempts) plus a spare-cell pool drawn from the layout's free
-        rows for remap escalation.  Staged programs get no spare pool — a
-        cell free in one stage may be occupied by the next, so their
-        verify path escalates straight to :class:`HardFaultError` and the
-        remap-recompile rung.
+        re-attempts) plus the :attr:`spare_pool` for remap escalation
+        (``spare_cells=False`` withholds it).  Staged programs get no spare
+        pool — a cell free in one stage may be occupied by the next, so
+        their verify path escalates straight to :class:`HardFaultError` and
+        the remap-recompile rung.
         """
         spare_pool = None
-        if verify_writes and self.stages is None:
-            spare_pool = self.layout.spare_cells()
+        if verify_writes and spare_cells and self.stages is None:
+            spare_pool = self.spare_pool
         return ArrayMachine(
             self.target, lanes, fault_rng, strict_shift=True,
-            observer=observer, fault_map=self.fault_map,
+            observer=observer,
+            fault_map=self.fault_map if fault_map is None else fault_map,
             verify_writes=verify_writes,
             write_retries=self.config.write_retries,
             spare_pool=spare_pool)
@@ -178,7 +187,8 @@ class CompiledProgram:
         ``verify_writes`` turns on verify-after-write (see :meth:`machine`).
 
         Staged (spill-and-partition) programs run their stages back to
-        back on one shared machine, carrying boundary values across.
+        back on one shared machine, carrying boundary values across
+        (:func:`repro.mapping.partition.run_program`).
 
         ``engine`` selects the execution backend: ``"interpreted"`` (the
         :class:`ArrayMachine` reference), ``"vectorized"`` (the bit-packed
@@ -202,12 +212,7 @@ class CompiledProgram:
                                   verify_writes=verify_writes)
         machine = self.machine(lanes, fault_rng, observer=observer,
                                verify_writes=verify_writes)
-        if self.stages is not None:
-            return execute_staged(self.stages, self.dag, self.target,
-                                  inputs, lanes, machine=machine)
-        preload_sources(machine, self.layout, self.dag, inputs)
-        machine.run(self.instructions)
-        return extract_outputs(machine, self.layout, self.dag)
+        return run_program(self, machine, inputs)
 
     def execute_many(self, input_sets, lanes: int = 64,
                      engine: str = "auto",

@@ -16,6 +16,7 @@ from repro.mapping.partition import (
     combined_mapping,
     execute_staged,
     map_partitioned,
+    run_program,
 )
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "map_partitioned",
     "map_sherlock",
     "merge_clusters",
+    "run_program",
 ]

@@ -291,3 +291,21 @@ def execute_staged(stages: list[Stage], dag: DataFlowGraph,
         else:
             results[name] = boundary[oid]
     return results
+
+
+def run_program(program, machine: ArrayMachine,
+                inputs: dict[str, int]) -> dict[str, int]:
+    """Run a compiled program on a configured machine; return its outputs.
+
+    The one interpreted run path every caller shares: preload the inputs,
+    run the trace, read the outputs back — or, for a staged
+    (spill-and-partition) program, :func:`execute_staged` on the same
+    machine.  ``program`` is anything with the compiled-program surface
+    (``stages``, ``dag``, ``target``, ``layout``, ``instructions``).
+    """
+    if program.stages is not None:
+        return execute_staged(program.stages, program.dag, program.target,
+                              inputs, machine.lanes, machine=machine)
+    preload_sources(machine, program.layout, program.dag, inputs)
+    machine.run(program.instructions)
+    return extract_outputs(machine, program.layout, program.dag)

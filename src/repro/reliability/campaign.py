@@ -594,7 +594,8 @@ def run_campaign(program, trials: int = 1000, seed: int = 0,
     if workers < 1:
         raise SimulationError(f"worker count must be positive, got {workers}")
     kwargs = dict(policy_kwargs or {})
-    get_policy(policy, **kwargs)  # fail fast on bad name / kwargs
+    # fail fast on a bad name / kwargs or a program the policy cannot run
+    get_policy(policy, **kwargs).check_program(program)
     if checkpoint is not None:
         journal = CheckpointJournal(
             checkpoint, "campaign",

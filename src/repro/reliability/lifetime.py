@@ -42,7 +42,6 @@ from repro.dfg.graph import DataFlowGraph
 from repro.errors import MappingError, SimulationError
 from repro.reliability.campaign import wilson_interval
 from repro.sim.endurance import static_write_counts
-from repro.sim.vectorized import validate_engine
 from repro.sim.wearlevel import (
     placement_conflicts,
     rotate_instructions,
@@ -281,7 +280,7 @@ def _baseline_death(program, state: _WearState, horizon: int) -> int | None:
 
 
 def _validate_once(program, dag: DataFlowGraph, lanes: int, seed: int,
-                   trial: int, engine: str = "auto") -> bool:
+                   trial: int) -> bool:
     """One verified functional execution against the reference semantics.
 
     Runs without a fault RNG: the point is that the recompiled (and
@@ -295,8 +294,7 @@ def _validate_once(program, dag: DataFlowGraph, lanes: int, seed: int,
               for operand in dag.inputs()}
     expected = evaluate(dag, inputs, lanes)
     try:
-        actual = program.execute(inputs, lanes=lanes, verify_writes=True,
-                                 engine=engine)
+        actual = program.execute(inputs, lanes=lanes, verify_writes=True)
     except SimulationError:
         return False
     return actual == expected
@@ -310,7 +308,6 @@ def run_lifetime(dag: DataFlowGraph, target: TargetSpec,
                  horizon: int = 1_000_000,
                  fault_map: FaultMap | None = None,
                  validate: bool = False, lanes: int = 16,
-                 engine: str = "auto",
                  checkpoint=None) -> LifetimeResult:
     """Run a seeded lifetime campaign (wear → remap → recompile → death).
 
@@ -324,9 +321,7 @@ def run_lifetime(dag: DataFlowGraph, target: TargetSpec,
     ``fault_map`` seeds both agings with pre-existing (manufacturing)
     faults.  ``validate`` additionally executes every recompiled program
     once with verify-after-write against the reference semantics; any
-    mismatch is counted in ``validation_failures``.  ``engine`` selects
-    the execution backend used by those validation runs (``"auto"``
-    keeps the interpreted reference, since they verify writes).
+    mismatch is counted in ``validation_failures``.
 
     ``checkpoint`` names a journal file making the run resumable: every
     finished trial's outcome is appended atomically, and re-running the
@@ -335,7 +330,6 @@ def run_lifetime(dag: DataFlowGraph, target: TargetSpec,
     bit-identical to an uninterrupted run.  A journal from a different
     run raises :class:`~repro.errors.CheckpointError`.
     """
-    validate_engine(engine)
     if trials < 1:
         raise SimulationError(f"trial count must be positive, got {trials}")
     if horizon < 1:
@@ -370,7 +364,10 @@ def run_lifetime(dag: DataFlowGraph, target: TargetSpec,
                     "endurance_spread": endurance_spread,
                     "wear_leveling": wear_leveling,
                     "rotation_stride": rotation_stride, "horizon": horizon,
-                    "validate": validate, "lanes": lanes, "engine": engine}
+                    "validate": validate, "lanes": lanes,
+                    # validation runs always pick the engine with "auto";
+                    # the key stays so older journals still resume
+                    "engine": "auto"}
         journal = CheckpointJournal(checkpoint, "lifetime", identity)
         journaled = {record["trial"]: record for record in journal.records}
 
@@ -442,11 +439,9 @@ def run_lifetime(dag: DataFlowGraph, target: TargetSpec,
             if validate:
                 if program.stages is None and wear_leveling:
                     probe = rotate_program(program, offsets[epoch % period])
-                    ok = _validate_once(probe, dag, lanes, seed, trial,
-                                        engine)
+                    ok = _validate_once(probe, dag, lanes, seed, trial)
                 else:
-                    ok = _validate_once(program, dag, lanes, seed, trial,
-                                        engine)
+                    ok = _validate_once(program, dag, lanes, seed, trial)
                 if not ok:
                     validation_failures += 1
         mitigated_deaths.append(death)

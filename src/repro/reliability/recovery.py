@@ -34,6 +34,7 @@ from dataclasses import dataclass, fields
 from repro.dfg.evaluate import evaluate
 from repro.dfg.ops import OpType, apply_op
 from repro.errors import SimulationError
+from repro.mapping.partition import run_program
 from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
 from repro.sim.metrics import (
     TraceMetrics,
@@ -118,7 +119,7 @@ class RecoveryPolicy:
     def _make_machine(self, program, lanes: int,
                       fault_rng: random.Random | int | None,
                       observer=None) -> ArrayMachine:
-        """Build (and retain) the strict-mode machine for one run.
+        """Build (and retain) the program's machine for one run.
 
         The machine carries the program's hard-fault map (if it was
         compiled around one), so campaigns measure transient recovery on
@@ -126,20 +127,22 @@ class RecoveryPolicy:
         Forcing stuck cells draws nothing from the fault RNG, so seeded
         campaigns without a fault map keep bit-identical streams.
         """
-        self.machine = ArrayMachine(program.target, lanes, fault_rng,
-                                    strict_shift=True, observer=observer,
-                                    fault_map=getattr(program, "fault_map",
-                                                      None))
+        self.machine = program.machine(lanes, fault_rng, observer=observer)
         return self.machine
+
+    def check_program(self, program) -> None:
+        """Raise :class:`SimulationError` if this policy cannot run ``program``.
+
+        Campaigns call it before their first trial; every policy built on
+        the shared run path handles every program.
+        """
 
     def execute(self, program, inputs: dict[str, int], lanes: int = 64,
                 fault_rng: random.Random | int | None = None,
                 expected: dict[str, int] | None = None) -> dict[str, int]:
         """Run the program and return its outputs (possibly recovered)."""
         machine = self._make_machine(program, lanes, fault_rng)
-        preload_sources(machine, program.layout, program.dag, inputs)
-        machine.run(program.instructions)
-        return extract_outputs(machine, program.layout, program.dag)
+        return run_program(program, machine, inputs)
 
 
 #: the policy registry consulted by :func:`get_policy` and the campaign CLI
@@ -202,9 +205,7 @@ class _SensePolicy(RecoveryPolicy):
         self._sense_costs.clear()  # the costs are the target's
         machine = self._make_machine(program, lanes, fault_rng, observer=self)
         try:
-            preload_sources(machine, program.layout, program.dag, inputs)
-            machine.run(program.instructions)
-            return extract_outputs(machine, program.layout, program.dag)
+            return run_program(program, machine, inputs)
         finally:
             machine.observer = None
 
@@ -355,6 +356,15 @@ class CheckpointReplay(RecoveryPolicy):
         self.interval = interval
         self.retries = retries
 
+    def check_program(self, program) -> None:
+        """Reject staged programs: snapshots of one stage's machine cannot
+        replay the host-side boundary hand-offs between stages."""
+        if program.stages is not None:
+            raise SimulationError(
+                f"recovery policy {self.name!r} cannot run a staged program "
+                f"(degradation {program.degradation!r}): its checkpoints "
+                f"cannot replay the host hand-offs between stages")
+
     def execute(self, program, inputs: dict[str, int], lanes: int = 64,
                 fault_rng: random.Random | int | None = None,
                 expected: dict[str, int] | None = None) -> dict[str, int]:
@@ -365,8 +375,10 @@ class CheckpointReplay(RecoveryPolicy):
         arbitrarily far before the last snapshot is replayed within a few
         attempts.  Replayed instructions are priced at full trace cost; the
         snapshot itself is modeled as a free controller-side state copy and
-        the shadow check as a host-side recomputation.
+        the shadow check as a host-side recomputation.  Staged programs are
+        rejected (:meth:`check_program`).
         """
+        self.check_program(program)
         if expected is None:
             expected = evaluate(program.source_dag, inputs, lanes)
         machine = self._make_machine(program, lanes, fault_rng)

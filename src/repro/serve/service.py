@@ -77,6 +77,7 @@ from repro.errors import (
     SherlockError,
     WorkerCrashError,
 )
+from repro.mapping.partition import run_program
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ArtifactCache
 from repro.serve.health import (
@@ -88,7 +89,7 @@ from repro.serve.health import (
 )
 from repro.serve.scrub import PatrolScrubber, ScrubPolicy, ScrubReport
 from repro.sim.cpu import CpuSpec, dag_events, run_model
-from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
+from repro.sim.executor import ArrayMachine
 from repro.sim.vectorized import validate_engine
 from repro.util.retry import RetryPolicy, retry_call
 
@@ -385,7 +386,6 @@ class CompileService:
                  machine_faults: dict[int, FaultMap] | None = None,
                  min_healthy_fraction: float = 0.5,
                  spare_cells: bool = True,
-                 verify_writes: bool = True,
                  health: HealthRegistry | None = None,
                  health_policy: HealthPolicy | None = None,
                  shed_policy: str = "reject",
@@ -428,7 +428,6 @@ class CompileService:
         self._fault_maps = dict(fault_maps or {})
         self._machine_faults = dict(machine_faults or {})
         self._spare_cells = spare_cells
-        self._verify_writes = verify_writes
         self._chaos = chaos
         self._clock = clock
         self._sleep = sleep
@@ -933,32 +932,6 @@ class CompileService:
             self.cache.put(key, program)
         return program, False
 
-    def _machine_for(self, program, request: ServeRequest,
-                     array_id: int) -> ArrayMachine:
-        ground = self._machine_faults.get(array_id)
-        fault_map = ground if ground is not None else program.fault_map
-        spare_pool = None
-        if self._verify_writes:
-            spare_pool = []
-            if self._spare_cells and program.stages is None:
-                spare_pool = program.layout.spare_cells()
-        return ArrayMachine(
-            program.target, request.lanes, strict_shift=True,
-            fault_map=fault_map, verify_writes=self._verify_writes,
-            write_retries=self.config.write_retries, spare_pool=spare_pool)
-
-    def _run_on(self, machine: ArrayMachine, program,
-                request: ServeRequest) -> dict[str, int]:
-        if program.stages is not None:
-            from repro.mapping.partition import execute_staged
-
-            return execute_staged(program.stages, program.dag,
-                                  program.target, request.inputs,
-                                  request.lanes, machine=machine)
-        preload_sources(machine, program.layout, program.dag, request.inputs)
-        machine.run(program.instructions)
-        return extract_outputs(machine, program.layout, program.dag)
-
     def _execute(self, program, request: ServeRequest, array_id: int):
         """Run the program; a hard fault triggers the in-loop remap rung.
 
@@ -978,15 +951,20 @@ class CompileService:
             return program.execute_many(
                 request.input_sets, lanes=request.lanes,
                 engine=request.engine), program, None
-        machine = self._machine_for(program, request, array_id)
+        ground = self._machine_faults.get(array_id)
+        machine = program.machine(request.lanes, verify_writes=True,
+                                  fault_map=ground,
+                                  spare_cells=self._spare_cells)
         try:
-            outputs = self._run_on(machine, program, request)
+            outputs = run_program(program, machine, request.inputs)
         except HardFaultError:
             self._note_machine(machine, array_id, hard_fault=True)
             remapped = self._remap(program, request, array_id,
                                    machine.discovered_faults)
-            retry_machine = self._machine_for(remapped, request, array_id)
-            outputs = self._run_on(retry_machine, remapped, request)
+            retry_machine = remapped.machine(request.lanes, verify_writes=True,
+                                             fault_map=ground,
+                                             spare_cells=self._spare_cells)
+            outputs = run_program(remapped, retry_machine, request.inputs)
             self._note_machine(retry_machine, array_id)
             return outputs, remapped, None
         self._note_machine(machine, array_id)
@@ -1055,8 +1033,11 @@ class CompileService:
                         request.input_sets, lanes=request.lanes,
                         engine=request.engine)
                 else:
-                    machine = self._machine_for(program, request, array_id)
-                    outputs = self._run_on(machine, program, request)
+                    machine = program.machine(
+                        request.lanes, verify_writes=True,
+                        fault_map=self._machine_faults.get(array_id),
+                        spare_cells=self._spare_cells)
+                    outputs = run_program(program, machine, request.inputs)
                     self._note_machine(machine, array_id)
             except HardFaultError:
                 self.health.record_execution(array_id, hard_fault=True)

@@ -26,13 +26,12 @@ exactly that ladder.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.arch.isa import Instruction, ReadInst, WriteInst
 from repro.arch.layout import CellAddr, Layout
 from repro.errors import SimulationError
-from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
+from repro.sim.executor import ArrayMachine
 
 __all__ = [
     "RotatedProgram",
@@ -150,42 +149,18 @@ class RotatedProgram:
         """The base program's compiler configuration."""
         return self.base.config
 
-    def machine(self, lanes: int = 64,
-                fault_rng: random.Random | int | None = None,
-                observer=None, verify_writes: bool = False) -> ArrayMachine:
-        """An :class:`ArrayMachine` configured for the rotated program."""
-        return ArrayMachine(
-            self.base.target, lanes, fault_rng, strict_shift=True,
-            observer=observer, fault_map=self.base.fault_map,
-            verify_writes=verify_writes,
-            write_retries=self.base.config.write_retries,
-            spare_pool=self.spare_pool if verify_writes else None)
+    def machine(self, *args, **kwargs) -> ArrayMachine:
+        """The base program's machine builder, with the rotated spare pool."""
+        from repro.core.compiler import CompiledProgram
 
-    def execute(self, inputs: dict[str, int], lanes: int = 64,
-                fault_rng: random.Random | int | None = None,
-                observer=None, verify_writes: bool = False,
-                engine: str = "auto") -> dict[str, int]:
-        """Functionally execute the rotated trace (cf. the base program)."""
-        from repro.sim.vectorized import resolve_engine
+        return CompiledProgram.machine(self, *args, **kwargs)
 
-        engine = resolve_engine(engine, observer=observer,
-                                fault_rng=fault_rng,
-                                verify_writes=verify_writes)
-        if engine == "vectorized":
-            if observer is not None:
-                raise SimulationError(
-                    "the vectorized engine does not support sense "
-                    "observers; use engine='interpreted'")
-            from repro.sim.vectorized import execute as vector_execute
+    def execute(self, *args, **kwargs) -> dict[str, int]:
+        """Functionally execute the rotated trace (the base program's run
+        path and engine choice, :meth:`CompiledProgram.execute`)."""
+        from repro.core.compiler import CompiledProgram
 
-            return vector_execute(self, inputs, lanes=lanes,
-                                  fault_rng=fault_rng,
-                                  verify_writes=verify_writes)
-        machine = self.machine(lanes, fault_rng, observer=observer,
-                               verify_writes=verify_writes)
-        preload_sources(machine, self.layout, self.base.dag, inputs)
-        machine.run(self.instructions)
-        return extract_outputs(machine, self.layout, self.base.dag)
+        return CompiledProgram.execute(self, *args, **kwargs)
 
     def conflicts(self) -> list[CellAddr]:
         """Rotated program cells colliding with the base fault map."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.reliability import (
 from repro.workloads.synthetic import synthetic_dag
 
 IDENTITY = {"who": "test", "seed": 1}
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +176,17 @@ class TestLifetimeResume:
         truncate_journal(path, 1)  # "crash" after the first trial
         resumed = self.run(checkpoint=path)
         assert dataclasses.asdict(resumed) == dataclasses.asdict(plain)
+
+    def test_resumes_journal_pinning_auto_engine(self, tmp_path):
+        """A journal whose identity pins ``"engine": "auto"`` (written when
+        ``run_lifetime`` still took an ``engine`` argument) still resumes,
+        and the resumed result equals a plain run."""
+        path = tmp_path / "l.ckpt"
+        path.write_text((GOLDEN / "lifetime_journal_v1.json").read_text())
+        assert json.loads(path.read_text())["identity"]["engine"] == "auto"
+        resumed = self.run(checkpoint=path)
+        assert dataclasses.asdict(resumed) == dataclasses.asdict(self.run())
+        assert len(json.loads(path.read_text())["records"]) == 3
 
     def test_mismatched_run_raises(self, tmp_path):
         path = tmp_path / "l.ckpt"

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -10,8 +11,9 @@ from repro.arch import TargetSpec
 from repro.core.compiler import compile_dag
 from repro.core.config import CompilerConfig
 from repro.devices import RERAM, STT_MRAM
-from repro.dfg import OpType
+from repro.dfg import OpType, evaluate
 from repro.errors import SimulationError
+from repro.reliability.campaign import run_campaign
 from repro.reliability.recovery import (
     POLICIES,
     CheckpointReplay,
@@ -24,6 +26,7 @@ from repro.reliability.recovery import (
     get_policy,
 )
 from repro.sim import ArrayMachine
+from repro.workloads import get_workload
 from repro.workloads.synthetic import synthetic_dag
 
 
@@ -295,3 +298,36 @@ class TestMachineLifetime:
                        random.Random(1))
         assert policy.machine.observer is None
         assert policy.stats.votes > 0
+
+
+class TestStagedPrograms:
+    """Every policy runs on the shared, stage-aware run path."""
+
+    @pytest.fixture(scope="class")
+    def staged_bfs(self):
+        workload = get_workload("bfs")
+        program = compile_dag(workload.build_dag(),
+                              TargetSpec.square(32, RERAM, num_arrays=1),
+                              cache=False)
+        assert program.stages is not None
+        inputs = workload.make_inputs(random.Random(0), 8)
+        return program, inputs, evaluate(program.source_dag, inputs, 8)
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_staged_fault_free_run_matches_reference_or_is_rejected(
+            self, name, staged_bfs):
+        program, inputs, expected = staged_bfs
+        policy = get_policy(name)
+        try:
+            policy.check_program(program)
+        except SimulationError as error:
+            assert name in str(error)
+            assert program.degradation in str(error)
+            with pytest.raises(SimulationError, match=name):
+                policy.execute(program, inputs, 8, fault_rng=None)
+            with pytest.raises(SimulationError, match=re.escape(program.degradation)):
+                run_campaign(program, trials=1, lanes=8, policy=name)
+            return
+        assert policy.execute(program, inputs, 8, fault_rng=None) == expected
+        result = run_campaign(program, trials=2, lanes=8, policy=name)
+        assert result.trials == 2

@@ -23,6 +23,7 @@ from repro.core.config import CompilerConfig
 from repro.devices import RERAM, STT_MRAM, CellFault, FaultMap
 from repro.dfg import DataFlowGraph, OpType, evaluate, evaluate_many
 from repro.errors import HardFaultError, SherlockError
+from repro.reliability.recovery import POLICIES, get_policy
 from repro.sim.endurance import static_write_counts
 from repro.sim.executor import extract_outputs, preload_sources
 from repro.sim.vectorized import (
@@ -235,6 +236,63 @@ class TestStagedAndMultiArray:
                               CompilerConfig(schedule="multi"), cache=False)
         inputs = get_workload("sobel").make_inputs(random.Random(2), 8)
         _differential(program, inputs, 8)
+
+
+def _entry_program(staged: bool):
+    """One unstaged and one staged (spill-and-partition) program."""
+    if staged:
+        dag = synthetic_dag(num_ops=40, num_inputs=6, seed=8, name="staged")
+        target = TargetSpec.square(8, RERAM, num_arrays=2)
+    else:
+        dag = synthetic_dag(num_ops=24, num_inputs=6, seed=8, name="flat")
+        target = TargetSpec.square(32, RERAM, num_arrays=2)
+    program = compile_dag(dag, target, CompilerConfig(), cache=False)
+    assert (program.stages is not None) == staged
+    return program
+
+
+def _run_entry(entry: str, program, inputs, lanes: int) -> dict[str, int]:
+    """Fault-free outputs of ``program`` through one execution entry point."""
+    from repro.serve import CompileService, ServeRequest
+    from repro.sim.wearlevel import rotate_program
+
+    if entry in ("interpreted", "vectorized"):
+        return program.execute(inputs, lanes, engine=entry)
+    if entry == "rotated":
+        return rotate_program(program, 3).execute(inputs, lanes)
+    if entry == "serve":
+        with CompileService(program.target, program.config,
+                            workers=1) as service:
+            result = service.process([ServeRequest(
+                dag=program.source_dag, inputs=inputs, lanes=lanes)])[0]
+        assert result.error is None and result.engine == "cim"
+        assert result.degradation == program.degradation
+        return result.outputs
+    return get_policy(entry.removeprefix("policy:")).execute(
+        program, inputs, lanes, fault_rng=None)
+
+
+ENTRY_POINTS = (["interpreted", "vectorized", "rotated", "serve"]
+                + [f"policy:{name}" for name in sorted(POLICIES)])
+
+
+class TestEveryEntryPoint:
+    """Every way to run a compiled program agrees with ``dfg.evaluate``,
+    unstaged and staged alike (rotation cannot apply to a staged program,
+    and checkpoint-replay rejects one with a structured error)."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("staged", [False, True],
+                             ids=["unstaged", "staged"])
+    def test_fault_free_outputs_match_reference(self, entry, staged):
+        program = _entry_program(staged)
+        inputs = _inputs_for(program.source_dag, 8, seed=4)
+        if staged and entry in ("rotated", "policy:checkpoint-replay"):
+            with pytest.raises(SherlockError, match="staged program"):
+                _run_entry(entry, program, inputs, 8)
+            return
+        assert (_run_entry(entry, program, inputs, 8)
+                == evaluate(program.source_dag, inputs, 8))
 
 
 class TestExecuteMany:
