@@ -194,6 +194,7 @@ import sys
 import tempfile
 
 from repro.arch.target import TargetSpec
+from repro.core import CompilerConfig, SherlockCompiler
 from repro.devices import RERAM
 from repro.dfg.evaluate import evaluate
 from repro.serve import ArtifactCache, CompileService, handle_request_file
@@ -209,8 +210,8 @@ requests = [
 ]
 request_file = tmp / "requests.jsonl"
 request_file.write_text("\n".join(json.dumps(obj) for obj in requests))
-want = [evaluate(r.dag, r.inputs, r.lanes)
-        for r in parse_request_lines(request_file.read_text(), 8)]
+parsed = parse_request_lines(request_file.read_text(), 8)
+want = [evaluate(r.dag, r.inputs, r.lanes) for r in parsed]
 
 target = TargetSpec.square(16, RERAM, num_arrays=2)
 cache = ArtifactCache(tmp / "cache")
@@ -245,8 +246,23 @@ degraded = [r.degradation for r in first if r.degradation != "none"]
 if not degraded:
     sys.exit("serve gate: the oversized request never rode the "
              "degradation ladder; gate is not exercising it")
+# a fresh cache over the gate's directory reloads a published program
+# with the spare rows and verified outputs it was compiled with
+g2 = parsed[1]
+compiled = SherlockCompiler(target, cache=False).compile(g2.dag)
+reloaded = ArtifactCache(cache.root).get(
+    ArtifactCache.key_for(g2.dag, target, CompilerConfig()))
+if reloaded is None or not compiled.spare_pool:
+    sys.exit("serve gate: g2 was not reloadable with a spare pool")
+if reloaded.spare_pool != compiled.spare_pool:
+    sys.exit(f"serve gate: reloaded g2 has {len(reloaded.spare_pool)} "
+             f"spares, compiled {len(compiled.spare_pool)}")
+if (reloaded.execute(g2.inputs, g2.lanes, verify_writes=True)
+        != compiled.execute(g2.inputs, g2.lanes, verify_writes=True)):
+    sys.exit("serve gate: reloaded g2 diverged from its compile")
 print(f"serve gate passed: {2 * len(requests)} requests bit-identical "
-      f"across a corrupted cache (quarantined=1), degradations {degraded}")
+      f"across a corrupted cache (quarantined=1), degradations {degraded}; "
+      f"reloaded g2 kept its {len(compiled.spare_pool)} spares")
 EOF
 
 echo "== chaos gate (seeded kills + corruption + fault burst, diff vs evaluator) =="
@@ -289,9 +305,13 @@ rng = random.Random(0)
 inputs = {d.name: {o.name: rng.getrandbits(lanes) for o in d.inputs()}
           for d in (dag_a, dag_b)}
 want = {d.name: evaluate(d, inputs[d.name], lanes) for d in (dag_a, dag_b)}
-victims = write_victims(
-    SherlockCompiler(target, config, cache=False).compile(dag_a),
-    dag_a, inputs[dag_a.name], lanes, count=2)
+program_a = SherlockCompiler(target, config, cache=False).compile(dag_a)
+victims = write_victims(program_a, dag_a, inputs[dag_a.name], lanes, count=2)
+# the burst also takes all but one spare of the victims' column, so
+# verify-after-write runs out of spares and the run hard-faults
+column = {(array, col) for array, _row, col in victims}
+burst = victims + tuple((s.array, s.row, s.col) for s in program_a.spare_pool
+                        if (s.array, s.col) in column)[1:]
 
 tmp = pathlib.Path(tempfile.mkdtemp(prefix="sherlock-chaos-gate-"))
 cache = ArtifactCache(tmp / "cache")
@@ -300,7 +320,7 @@ schedule = ChaosSchedule((
     ChaosEvent(at=2, kind="worker-kill", stage="execute"),
     ChaosEvent(at=4, kind="cache-corrupt", stage="compile"),
     ChaosEvent(at=6, kind="fault-burst", stage="execute",
-               array_id=0, cells=victims, duration=4),
+               array_id=0, cells=burst, duration=4),
 ))
 injector = ChaosInjector(schedule, cache=cache, machine_faults=ground)
 policy = HealthPolicy(min_samples=2, probation_period_s=5.0,
@@ -357,7 +377,7 @@ for needle in ("health: baseline=", "array 0: state=healthy",
         sys.exit(f"chaos gate: stats surface is missing {needle!r}:\n"
                  f"{stats_text}")
 print(f"chaos gate passed: 12 requests bit-identical through a worker "
-      f"kill, cache corruption, and a {len(victims)}-cell fault burst; "
+      f"kill, cache corruption, and a {len(burst)}-cell fault burst; "
       f"array 0 walked healthy -> degraded -> quarantined -> healthy "
       f"(fired: {injector.fired})")
 EOF

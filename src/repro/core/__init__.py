@@ -12,6 +12,7 @@ Typical use::
 """
 
 from repro.arch.target import TargetSpec
+from repro.core.cache import ArtifactCache
 from repro.core.compiler import (
     CompiledProgram,
     LadderAttempt,
@@ -48,6 +49,7 @@ from repro.core.report import (
 )
 
 __all__ = [
+    "ArtifactCache",
     "COMPILE_REPORT_HEADERS",
     "CompilationContext",
     "CompileReport",

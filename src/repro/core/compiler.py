@@ -9,8 +9,8 @@ Pipeline (run by the :mod:`repro.core.passes` pass manager)::
 The pass list is configurable (``CompilerConfig.pipeline``); every pass is
 timed and its IR statistics recorded on the resulting program
 (``CompiledProgram.pass_events``).  A process-level compile cache keyed by
-:func:`program_key` (DAG structural hash, target, config, fault-map
-digest) lets repeated sweeps skip redundant recompiles.
+:func:`program_key` (a memory-only :class:`~repro.core.cache.ArtifactCache`)
+lets repeated sweeps skip redundant recompiles.
 
 A :class:`CompiledProgram` can be functionally executed against arbitrary
 inputs (and verified against the source DAG), priced into the Table 2
@@ -19,18 +19,15 @@ latency/energy metrics, and inspected as Fig. 4-style text.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import pathlib
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.arch.isa import Instruction, program_text
 from repro.arch.target import TargetSpec
+from repro.core.cache import ArtifactCache, program_key
 from repro.core.config import CompilerConfig
 from repro.core.passes import (
     NAND_LOWERING_WINDOW,
@@ -43,7 +40,7 @@ from repro.core.passes import (
 )
 from repro.dfg.evaluate import evaluate
 from repro.dfg.graph import DataFlowGraph
-from repro.dfg.stats import graph_stats, structural_hash
+from repro.dfg.stats import graph_stats
 from repro.errors import CapacityError, MappingError, SherlockError
 from repro.mapping.base import MappingResult
 from repro.mapping.partition import Stage, combined_mapping, map_partitioned, run_program
@@ -251,126 +248,18 @@ class CompiledProgram:
 # ----------------------------------------------------------------------
 # process-level compile cache
 # ----------------------------------------------------------------------
-def program_key(dag: DataFlowGraph, target: TargetSpec,
-                config: CompilerConfig, fault_map=None) -> str:
-    """The content key of one compilation request, as a hex digest.
-
-    ``sha256(DAG structural hash | target | config | fault-map digest)``
-    keys both the process compile cache and the persistent artifact
-    cache (:meth:`repro.serve.ArtifactCache.key_for`), so structurally
-    identical requests resolve to the same entry.  Fault-aware compiles
-    key on the map's *content digest* (:meth:`repro.devices.FaultMap.digest`):
-    a fleet of arrays with byte-identical maps shares entries while any
-    mutation (new wear, a remap diagnosis) changes the key and recompiles.
-    An empty map keys like no map at all.
-    """
-    from repro.core.serialize import target_to_dict
-
-    hasher = hashlib.sha256()
-    hasher.update(structural_hash(dag).encode())
-    hasher.update(json.dumps(target_to_dict(target),
-                             sort_keys=True).encode())
-    hasher.update(json.dumps(dataclasses.asdict(config),
-                             sort_keys=True).encode())
-    digest = fault_map.digest() if fault_map else None
-    hasher.update(f"|faults:{digest}".encode())
-    return hasher.hexdigest()
-
-
-class CompileCache:
-    """LRU memo of compiled programs keyed by :func:`program_key`.
-
-    Sweeps and benchmarks recompile structurally identical DAGs with
-    repeated configurations; the cache turns those recompiles into a
-    dictionary lookup.  Oversized programs (above ``max_instructions``)
-    are never retained — a full AES program holds hundreds of thousands
-    of instruction objects and caching dozens of them would exhaust
-    memory (see ``benchmarks/conftest.py``).
-    """
-
-    def __init__(self, maxsize: int = 32,
-                 max_instructions: int = 20_000) -> None:
-        self.maxsize = maxsize
-        self.max_instructions = max_instructions
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[str, CompiledProgram] = OrderedDict()
-
-    def get(self, key: str) -> CompiledProgram | None:
-        """Look up a prior compilation; counts a hit or miss."""
-        program = self._entries.get(key)
-        if program is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return program
-
-    def put(self, key: str, program: CompiledProgram) -> None:
-        """Retain a compilation result, evicting the least recently used.
-
-        The entry gets a private copy of the instruction list (instruction
-        objects are frozen), so callers editing the program they were
-        handed cannot poison later cache hits.
-        """
-        if len(program.mapping.instructions) > self.max_instructions:
-            return
-        self._entries[key] = _reissue(program, program.source_dag,
-                                      program.config, program.fault_map)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def info(self) -> dict[str, int]:
-        """Current size and hit/miss counters."""
-        return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses, "maxsize": self.maxsize}
-
-
 #: the process-wide cache consulted by every caching :class:`SherlockCompiler`
-_COMPILE_CACHE = CompileCache()
+_COMPILE_CACHE = ArtifactCache()
 
 
 def compile_cache_info() -> dict[str, int]:
-    """Size and hit/miss counters of the process-level compile cache."""
-    return _COMPILE_CACHE.info()
+    """The process-level compile cache's :meth:`ArtifactCache.stats`."""
+    return _COMPILE_CACHE.stats()
 
 
 def clear_compile_cache() -> None:
     """Empty the process-level compile cache (tests, memory pressure)."""
     _COMPILE_CACHE.clear()
-
-
-def _reissue(cached: CompiledProgram, source_dag: DataFlowGraph,
-             config: CompilerConfig, fault_map) -> CompiledProgram:
-    """A fresh program view over a cached compilation.
-
-    The immutable pieces (transformed DAG, layout, stats, instruction
-    objects) are shared; the instruction *list* is copied so a caller
-    editing its program cannot corrupt the cache.  ``fault_map`` is the
-    map the program is issued against; it is copied for the same reason
-    (its content matches the cached entry's: the key digests it).
-    """
-    mapping = cached.mapping
-    fault_map = fault_map.copy() if fault_map is not None else None
-    return CompiledProgram(
-        source_dag=source_dag, dag=cached.dag, target=cached.target,
-        config=config,
-        mapping=MappingResult(dag=mapping.dag, target=mapping.target,
-                              layout=mapping.layout,
-                              instructions=list(mapping.instructions),
-                              stats=mapping.stats),
-        pass_events=list(cached.pass_events),
-        stages=cached.stages,
-        ladder=list(cached.ladder),
-        degradation=cached.degradation,
-        fault_map=fault_map)
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +338,11 @@ class SherlockCompiler:
                               self.fault_map)
             cached = _COMPILE_CACHE.get(key)
             if cached is not None:
-                return _reissue(cached, dag, self.config, self.fault_map)
+                # an empty map keys like none: hand out the caller's own
+                cached.source_dag, cached.config = dag, self.config
+                cached.fault_map = (self.fault_map.copy()
+                                    if self.fault_map is not None else None)
+                return cached
         try:
             ctx = self.pass_manager().run(self._context(dag))
         except MappingError as exc:
@@ -646,7 +539,8 @@ class SherlockCompiler:
         added = merged.merge(discovered)
         rebuilt = SherlockCompiler(
             self.target, self.config, validate_passes=self.validate_passes,
-            dump_ir_dir=self.dump_ir_dir, fault_map=merged)
+            dump_ir_dir=self.dump_ir_dir, cache=self.cache,
+            fault_map=merged)
         new_program = rebuilt.compile(program.source_dag)
         new_program.ladder = (list(program.ladder)
                               + [LadderAttempt(rung="remap", succeeded=True,

@@ -11,12 +11,13 @@ degraded-compile state a resilient artifact cache must hold: staged
 (spill-and-partition) programs serialize one sub-document per stage (its
 sub-DAG, per-stage layout, instruction body, bridge copies, and boundary
 import/export tables), and the degradation ``ladder``, ``degradation``
-rung name, and hard-fault map travel along.  Version 1 documents still
-load (they simply carry none of that state).
+rung name, hard-fault map, and every column's bottom-up and top-down
+fill lines (``fills``, which fix the spare rows) travel along.  Older
+documents still load (they simply carry less of that state).
 
 The dict-level entry points (:func:`program_to_dict` /
-:func:`program_from_dict`) exist so the persistent artifact cache
-(:mod:`repro.serve.cache`) and the file round-trip share one codec.
+:func:`program_from_dict`) exist so the artifact cache
+(:mod:`repro.core.cache`) and the file round-trip share one codec.
 """
 
 from __future__ import annotations
@@ -138,25 +139,38 @@ def target_from_dict(data: dict) -> TargetSpec:
 # ----------------------------------------------------------------------
 # layout / stage <-> dict
 # ----------------------------------------------------------------------
-def _placements_to_dict(layout: Layout) -> dict:
-    """A layout's operand placements as JSON-compatible address lists."""
-    return {str(oid): [[a.array, a.row, a.col] for a in addrs]
-            for oid, addrs in layout.placements().items()}
+def _layout_to_dict(layout: Layout) -> dict:
+    """A layout's operand placements and column fill lines, JSON-ready."""
+    return {
+        "placements": {str(oid): [[a.array, a.row, a.col] for a in addrs]
+                       for oid, addrs in layout.placements().items()},
+        "fills": [[gcol, layout._fill.get(gcol, 0),
+                   layout._top_fill.get(gcol, 0)]
+                  for gcol in sorted(layout._touched_cols())],
+    }
 
 
-def _placements_from_dict(target: TargetSpec, data: dict,
-                          id_map: dict[int, int]) -> Layout:
-    """Rebuild a layout from serialized placements via the DAG id map."""
-    layout = Layout(target)
+def _layout_from_dict(target: TargetSpec, data: dict,
+                      id_map: dict[int, int], fault_map) -> Layout:
+    """Rebuild a layout from :func:`_layout_to_dict` via the DAG id map."""
+    layout = Layout(target, fault_map=fault_map)
     # placements refer to the serialized ids; translate through id_map and
-    # restore the addresses verbatim (fill lines follow from the maxima)
-    restored: dict[int, list[CellAddr]] = {}
-    for old_id, addrs in data.items():
+    # restore the addresses verbatim
+    for old_id, addrs in data["placements"].items():
         new_id = id_map.get(int(old_id))
         if new_id is None:
             raise SherlockError(f"placement for unknown operand {old_id}")
-        restored[new_id] = [CellAddr(a, r, c) for a, r, c in addrs]
-    _restore_layout(layout, restored)
+        layout._copies[new_id] = [CellAddr(a, r, c) for a, r, c in addrs]
+        layout._duplicates += len(addrs) - 1
+    if "fills" in data:
+        for gcol, bottom, top in data["fills"]:
+            layout._fill[gcol], layout._top_fill[gcol] = bottom, top
+        return layout
+    # no fill lines recorded: derive bottom-up ones from the highest rows
+    for addrs in layout._copies.values():
+        for addr in addrs:
+            gcol = layout.global_col(addr.array, addr.col)
+            layout._fill[gcol] = max(layout._fill.get(gcol, 0), addr.row + 1)
     return layout
 
 
@@ -164,7 +178,7 @@ def _stage_to_dict(stage: Stage) -> dict:
     """Serialize one spill-and-partition stage with all its glue."""
     return {
         "dag": dag_to_dict(stage.dag),
-        "placements": _placements_to_dict(stage.mapping.layout),
+        **_layout_to_dict(stage.mapping.layout),
         "instructions": program_text(stage.mapping.instructions),
         "stats": stage.mapping.stats.as_dict(),
         "imports": dict(stage.imports),
@@ -175,10 +189,10 @@ def _stage_to_dict(stage: Stage) -> dict:
 
 
 def _stage_from_dict(data: dict, target: TargetSpec,
-                     full_id_map: dict[int, int]) -> Stage:
+                     full_id_map: dict[int, int], fault_map) -> Stage:
     """Rebuild one stage; boundary ids translate via the full DAG's map."""
     stage_dag, stage_ids = dag_from_dict(data["dag"])
-    layout = _placements_from_dict(target, data["placements"], stage_ids)
+    layout = _layout_from_dict(target, data, stage_ids, fault_map)
     mapping = MappingResult(
         dag=stage_dag, target=target, layout=layout,
         instructions=parse_program(data["instructions"]),
@@ -229,7 +243,7 @@ def program_to_dict(program: CompiledProgram) -> dict:
     }
     if program.stages is None:
         document["instructions"] = program_text(program.instructions)
-        document["placements"] = _placements_to_dict(program.layout)
+        document.update(_layout_to_dict(program.layout))
     else:
         document["stages"] = [_stage_to_dict(stage)
                               for stage in program.stages]
@@ -266,8 +280,7 @@ def program_from_dict(document: dict) -> CompiledProgram:
     stage_docs = document.get("stages")
     if stage_docs is None:
         try:
-            layout = _placements_from_dict(target, document["placements"],
-                                           id_map)
+            layout = _layout_from_dict(target, document, id_map, fault_map)
             instructions = parse_program(document["instructions"])
         except (KeyError, TypeError, ValueError) as error:
             raise SherlockError(
@@ -276,7 +289,7 @@ def program_from_dict(document: dict) -> CompiledProgram:
                                 instructions=instructions, stats=stats)
         stages = None
     else:
-        stages = [_stage_from_dict(stage_doc, target, id_map)
+        stages = [_stage_from_dict(stage_doc, target, id_map, fault_map)
                   for stage_doc in stage_docs]
         if not stages:
             raise SherlockError("staged program document has no stages")
@@ -310,14 +323,3 @@ def load_program(path: str | pathlib.Path) -> CompiledProgram:
             f"program file {path} is not valid JSON: {error}") from None
     return program_from_dict(document)
 
-
-def _restore_layout(layout: Layout, placements: dict[int, list[CellAddr]]) -> None:
-    """Rebuild the layout's internal maps from explicit addresses."""
-    fill: dict[int, int] = {}
-    for addrs in placements.values():
-        for addr in addrs:
-            gcol = layout.global_col(addr.array, addr.col)
-            fill[gcol] = max(fill.get(gcol, 0), addr.row + 1)
-    layout._fill = fill
-    layout._copies = {oid: list(addrs) for oid, addrs in placements.items()}
-    layout._duplicates = sum(len(a) - 1 for a in placements.values())

@@ -26,8 +26,6 @@ incompatible counters.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import pathlib
@@ -47,24 +45,12 @@ CHECKPOINT_SCHEMA = "sherlock-checkpoint/v1"
 
 
 def program_digest(program) -> str:
-    """A stable content digest of a compiled program's identity.
+    """A stable content digest of a compiled program's identity: the
+    :func:`~repro.core.cache.program_key` of the request that compiled it."""
+    from repro.core.cache import program_key
 
-    Mirrors the artifact-cache key ingredients (DAG structural hash,
-    target, config, fault-map digest) without importing the serve layer,
-    so the reliability runtime stays independent of it.
-    """
-    from repro.core.serialize import target_to_dict
-    from repro.dfg.stats import structural_hash
-
-    hasher = hashlib.sha256()
-    hasher.update(structural_hash(program.source_dag).encode())
-    hasher.update(json.dumps(target_to_dict(program.target),
-                             sort_keys=True).encode())
-    hasher.update(json.dumps(dataclasses.asdict(program.config),
-                             sort_keys=True).encode())
-    digest = program.fault_map.digest() if program.fault_map else None
-    hasher.update(f"|faults:{digest}".encode())
-    return hasher.hexdigest()
+    return program_key(program.source_dag, program.target, program.config,
+                       program.fault_map)
 
 
 class CheckpointJournal:

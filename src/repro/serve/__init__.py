@@ -4,8 +4,8 @@ The TDO-CIM line of work compiles offload candidates ahead of time and
 decides at run time whether a request executes on the CIM fabric or falls
 back to the CPU.  This package is that runtime for the Sherlock compiler:
 
-* :mod:`repro.serve.cache` — a persistent on-disk artifact cache of
-  serialized compiled programs, keyed by DAG structure, target,
+* :mod:`repro.serve.cache` — the artifact cache (:mod:`repro.core.cache`):
+  compiled programs in memory and on disk, keyed by DAG structure, target,
   configuration and fault-map content, tolerant of corrupted entries;
 * :mod:`repro.serve.breaker` — a circuit breaker that trips the service
   to the CPU baseline after consecutive CIM failures and probes half-open;

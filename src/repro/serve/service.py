@@ -913,6 +913,12 @@ class CompileService:
             while len(self._served_dags) > _SERVED_DAG_WINDOW:
                 self._served_dags.popitem(last=False)
 
+    def _compiler(self, config: CompilerConfig,
+                  fault_map: FaultMap | None) -> SherlockCompiler:
+        """A compiler that skips the process cache if the service has one."""
+        return SherlockCompiler(self.target, config, fault_map=fault_map,
+                                cache=self.cache is None)
+
     def _compiled(self, request: ServeRequest, array_id: int):
         """Resolve the request's program: artifact cache, then compile."""
         fault_map = self._known_map(array_id)
@@ -925,9 +931,7 @@ class CompileService:
             program = self.cache.get(key)
             if program is not None:
                 return program, True
-        compiler = SherlockCompiler(self.target, config,
-                                    fault_map=fault_map)
-        program = compiler.compile(request.dag)
+        program = self._compiler(config, fault_map).compile(request.dag)
         if self.cache is not None:
             self.cache.put(key, program)
         return program, False
@@ -987,29 +991,6 @@ class CompileService:
             voters.append(array_id)
         return voters
 
-    def _voter_program(self, program, array_id: int):
-        """A clone of ``program`` carrying the voter's ground-truth map.
-
-        The batch path executes through the program's own ``fault_map``
-        (both engines; the vectorized lowering bakes it in), so per-array
-        voting needs a per-voter program.  Clones are cached on the
-        program instance keyed by the ground map's content digest — a
-        chaos event mutating the map in place gets a fresh clone (and a
-        fresh lowering) on the next vote.
-        """
-        ground = self._machine_faults.get(array_id)
-        if ground is None:
-            return program
-        digest = ground.digest()
-        cache = program.__dict__.setdefault("_voter_programs", {})
-        clone = cache.get((array_id, digest))
-        if clone is None:
-            if len(cache) >= 8:  # bound per-program clone growth
-                cache.clear()
-            clone = replace(program, fault_map=ground.copy())
-            cache[(array_id, digest)] = clone
-        return clone
-
     def _execute_voted(self, program, request: ServeRequest, placed: int):
         """Execute on ``redundancy`` arrays and majority-vote per lane.
 
@@ -1026,16 +1007,19 @@ class CompileService:
         batch = request.input_sets is not None
         ballots: list[tuple[int, object]] = []
         for array_id in self._voter_arrays(placed, request.redundancy):
+            ground = self._machine_faults.get(array_id)
             try:
                 if batch:
-                    clone = self._voter_program(program, array_id)
-                    outputs = clone.execute_many(
+                    # a batch runs through its program's own fault map (the
+                    # vectorized lowering bakes it in): clone it per voter
+                    voter = (program if ground is None
+                             else replace(program, fault_map=ground.copy()))
+                    outputs = voter.execute_many(
                         request.input_sets, lanes=request.lanes,
                         engine=request.engine)
                 else:
                     machine = program.machine(
-                        request.lanes, verify_writes=True,
-                        fault_map=self._machine_faults.get(array_id),
+                        request.lanes, verify_writes=True, fault_map=ground,
                         spare_cells=self._spare_cells)
                     outputs = run_program(program, machine, request.inputs)
                     self._note_machine(machine, array_id)
@@ -1094,8 +1078,7 @@ class CompileService:
         """
         known = self._known_map(array_id)
         config = self._config_for(known)
-        compiler = SherlockCompiler(self.target, config, fault_map=known)
-        remapped = compiler.remap(program, discovered)
+        remapped = self._compiler(config, known).remap(program, discovered)
         with self._lock:
             self._fault_maps[array_id] = remapped.fault_map.copy()
         if self.cache is not None:
@@ -1147,11 +1130,10 @@ class CompileService:
         config = self._config_for(fault_map)
         for dag in dags:
             key = ArtifactCache.key_for(dag, self.target, config, fault_map)
-            if self.cache.path_for(key).exists():
+            if key in self.cache:
                 continue  # already published under the current map
             try:
-                program = SherlockCompiler(
-                    self.target, config, fault_map=fault_map).compile(dag)
+                program = self._compiler(config, fault_map).compile(dag)
             except SherlockError:
                 continue
             self.cache.put(key, program)

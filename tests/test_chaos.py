@@ -164,13 +164,19 @@ class TestChaosAcceptance:
                                      ).compile(dag_a)
         victims = write_victims(program_a, dag_a, inputs_for(dag_a), lanes,
                                 count=2)
+        # the burst also takes all but one spare of the victims' column,
+        # so verify-after-write runs out of spares and the run hard-faults
+        column = {(array, col) for array, _row, col in victims}
+        spares = tuple((s.array, s.row, s.col) for s in program_a.spare_pool
+                       if (s.array, s.col) in column)
+        burst = victims + spares[1:]
         cache = ArtifactCache(tmp_path)
         ground = {0: FaultMap(), 1: FaultMap()}
         schedule = ChaosSchedule((
             ChaosEvent(at=2, kind="worker-kill", stage="execute"),
             ChaosEvent(at=4, kind="cache-corrupt", stage="compile"),
             ChaosEvent(at=6, kind="fault-burst", stage="execute",
-                       array_id=0, cells=victims, duration=4),
+                       array_id=0, cells=burst, duration=4),
         ))
         injector = ChaosInjector(schedule, cache=cache,
                                  machine_faults=ground)

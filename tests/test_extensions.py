@@ -154,6 +154,7 @@ class TestDegradedSerialization:
         program = compile_dag(dag, target())
         final = self.golden_fixed_point(tmp_path, program)
         assert final.instructions == program.instructions
+        assert final.spare_pool == program.spare_pool
 
     def test_multiarray_program_round_trips(self, tmp_path):
         from repro.workloads.synthetic import synthetic_dag
@@ -166,6 +167,7 @@ class TestDegradedSerialization:
         save_program(program, path)
         loaded = load_program(path)
         assert loaded.instructions == program.instructions
+        assert loaded.spare_pool == program.spare_pool
         rng = random.Random(0)
         inputs = {o.name: rng.getrandbits(8) for o in dag.inputs()}
         assert loaded.execute(inputs, 8) == program.execute(inputs, 8)
@@ -185,6 +187,7 @@ class TestDegradedSerialization:
         loaded = load_program(path)
         assert loaded.fault_map is not None
         assert loaded.fault_map.cells() == fm.cells()
+        assert loaded.spare_pool == program.spare_pool
         rng = random.Random(1)
         inputs = {o.name: rng.getrandbits(8) for o in dag.inputs()}
         assert loaded.execute(inputs, 8, verify_writes=True) == \

@@ -5,6 +5,7 @@ import os
 import random
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -170,6 +171,100 @@ class TestArtifactCache:
             t.join(timeout=5)
         assert not failures
         assert cache.quarantined == 0
+
+
+class TestMemoryTier:
+    """The in-memory tier every :class:`ArtifactCache` puts before disk."""
+
+    @staticmethod
+    def compiled(fault_map=None):
+        target, config, dag = small_target(), CompilerConfig(), small_dag()
+        program = SherlockCompiler(target, config, cache=False,
+                                   fault_map=fault_map).compile(dag)
+        return ArtifactCache.key_for(dag, target, config, fault_map), program
+
+    def test_service_lookups_skip_the_process_cache(self, tmp_path):
+        """One lookup per request: the service's own cache, nothing else."""
+        from repro.core.compiler import compile_cache_info
+
+        clear_compile_cache()
+        dag = small_dag()
+        cache = ArtifactCache(tmp_path)
+        before = compile_cache_info()
+        with CompileService(small_target(), CompilerConfig(), cache=cache,
+                            workers=1) as service:
+            miss = service.process([request_for(dag)])[0]
+            hit = service.process([request_for(dag)])[0]
+        assert not miss.cached and hit.cached
+        assert compile_cache_info() == before
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
+
+    def test_memory_hit_matches_a_fresh_disk_hit(self, tmp_path):
+        target = small_target()
+        faults = FaultMap.random_map(target, fraction=0.02, seed=3)
+        key, program = self.compiled(faults)
+        cache = ArtifactCache(tmp_path)
+        cache.put(key, program)
+        hot = cache.get(key)
+        cold = ArtifactCache(tmp_path).get(key)
+        assert hot.instructions == cold.instructions == program.instructions
+        assert hot.spare_pool == cold.spare_pool == program.spare_pool
+        assert hot.fault_map.cells() == cold.fault_map.cells() == \
+            faults.cells()
+        inputs = inputs_for(small_dag())
+        want = program.execute(inputs, 8, verify_writes=True)
+        assert hot.execute(inputs, 8, verify_writes=True) == want
+        assert cold.execute(inputs, 8, verify_writes=True) == want
+
+    def test_hot_hit_does_not_deserialize(self, tmp_path, monkeypatch):
+        import sys
+
+        from repro.core.serialize import program_from_dict
+
+        key, program = self.compiled()
+        cache = ArtifactCache(tmp_path)
+        cache.put(key, program)
+
+        def refuse(document):
+            raise AssertionError("a hot hit re-parsed the artifact")
+
+        for module in list(sys.modules.values()):  # every binding of it
+            if getattr(module, "program_from_dict", None) is program_from_dict:
+                monkeypatch.setattr(module, "program_from_dict", refuse)
+        assert cache.get(key).instructions == program.instructions
+        assert cache.get(key) is not cache.get(key)  # private copies
+
+    def test_editing_a_hit_cannot_poison_the_cache(self, tmp_path):
+        key, program = self.compiled()
+        for cache in (ArtifactCache(), ArtifactCache(tmp_path)):
+            cache.put(key, program)
+            cache.get(key).instructions.clear()
+            assert cache.get(key).instructions == program.instructions
+
+    def test_another_writers_publication_is_seen(self, tmp_path):
+        key, program = self.compiled()
+        cache = ArtifactCache(tmp_path)
+        cache.put(key, program)
+        assert cache.get(key) is not None  # now hot in memory
+        other = ArtifactCache(tmp_path)
+        newer = program.instructions[:-1]
+        other.put(key, replace(program, mapping=replace(
+            program.mapping, instructions=newer)))
+        assert cache.get(key).instructions == newer
+
+    def test_memory_only_cache_is_bounded(self):
+        from repro.core.cache import MEMORY_ENTRIES
+
+        cache = ArtifactCache()
+        _, program = self.compiled()
+        for index in range(MEMORY_ENTRIES + 1):
+            cache.put(f"key{index}", program)
+        assert cache.get("key0") is None  # least recently used, dropped
+        assert cache.get(f"key{MEMORY_ENTRIES}") is not None
+        assert "key1" in cache and "key0" not in cache
+        assert cache.stats() == {"hits": 1, "misses": 1, "quarantined": 0,
+                                 "writes": MEMORY_ENTRIES + 1,
+                                 "evictions": 0, "entries": MEMORY_ENTRIES}
 
 
 # ----------------------------------------------------------------------
