@@ -190,6 +190,7 @@ echo "== serve gate (corrupted cache + oversized kernel, diff vs evaluator) =="
 python - <<'EOF'
 import json
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -260,9 +261,33 @@ if reloaded.spare_pool != compiled.spare_pool:
 if (reloaded.execute(g2.inputs, g2.lanes, verify_writes=True)
         != compiled.execute(g2.inputs, g2.lanes, verify_writes=True)):
     sys.exit("serve gate: reloaded g2 diverged from its compile")
+# a batch on an array whose ground truth hides a stuck-at under a cell
+# the program writes: it must run verified and remap like a single request
+from repro.devices import CellFault, FaultMap
+from repro.serve import ServeRequest
+from repro.util import write_victims
+
+rng = random.Random(0)
+sets = [{o.name: rng.getrandbits(8) for o in g2.dag.inputs()}
+        for _ in range(4)]
+ground = FaultMap()
+ground.set_fault(*write_victims(compiled, g2.dag, sets[0], 8)[0],
+                 CellFault.STUCK0)
+with CompileService(target, workers=1, spare_cells=False,
+                    machine_faults={0: ground}) as faulted:
+    batch = faulted.process([ServeRequest(
+        dag=g2.dag, inputs=sets[0], input_sets=sets, lanes=8,
+        request_id="g2-batch")])[0]
+if batch.error is not None or not batch.remapped:
+    sys.exit(f"serve gate: a batch over an unknown stuck-at cell was not "
+             f"remapped (error={batch.error}, remapped={batch.remapped})")
+if batch.batch_outputs != [evaluate(g2.dag, s, 8) for s in sets]:
+    sys.exit("serve gate: the remapped batch diverged from the reference "
+             "evaluator")
 print(f"serve gate passed: {2 * len(requests)} requests bit-identical "
       f"across a corrupted cache (quarantined=1), degradations {degraded}; "
-      f"reloaded g2 kept its {len(compiled.spare_pool)} spares")
+      f"reloaded g2 kept its {len(compiled.spare_pool)} spares; a "
+      f"{len(sets)}-set batch over an unknown stuck-at cell remapped")
 EOF
 
 echo "== chaos gate (seeded kills + corruption + fault burst, diff vs evaluator) =="
@@ -521,7 +546,30 @@ python -m repro.cli health --tech reram --size 16 --arrays 4 \
     --fault-map "$HEALTH_TMP/faults.json"
 
 echo "== paper experiments (tables land in benchmarks/results/) =="
+PAPER_TMP=$(mktemp -d)
+for name in fig6.txt table2.txt fig7.txt; do
+    # the committed copy; outside a git checkout, the checked-out one
+    git show "HEAD:benchmarks/results/$name" > "$PAPER_TMP/$name" \
+        2>/dev/null || cp "benchmarks/results/$name" "$PAPER_TMP/$name"
+done
 python -m pytest benchmarks/ 2>&1 | tee benchmarks/results/full_run.log
+
+echo "== paper gate (regenerated tables vs their committed copies) =="
+PAPER_FILES="fig6.txt table2.txt fig7.txt"
+if [ -n "$QUICK" ]; then
+    # SHERLOCK_BENCH_AES_ROUNDS=2 changes the AES rows of both tables
+    echo "QUICK=1: comparing fig6.txt only (reduced-round AES changes" \
+         "table2.txt and fig7.txt)"
+    PAPER_FILES="fig6.txt"
+fi
+for name in $PAPER_FILES; do
+    if ! diff -u "$PAPER_TMP/$name" "benchmarks/results/$name"; then
+        echo "paper gate: regenerated benchmarks/results/$name differs" \
+             "from its committed copy"
+        exit 1
+    fi
+done
+echo "paper gate passed: $PAPER_FILES byte-identical"
 
 echo "== benchmark timings =="
 python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

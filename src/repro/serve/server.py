@@ -88,11 +88,11 @@ def _checked_inputs(obj_inputs, dag, lanes: int,
 def parse_request(obj: dict, default_lanes: int = 16) -> ServeRequest:
     """Turn one JSON request object into a :class:`ServeRequest`.
 
-    ``"input_sets": [{...}, ...]`` makes a batch request (one compile,
-    many executions; see :attr:`ServeRequest.input_sets`); ``"engine"``
-    picks the execution backend for the CIM path; ``"redundancy": K``
-    requests voted redundant execution on ``K`` arrays (per input set for
-    batch requests).
+    ``"input_sets": [{...}, ...]`` makes a batch request (one compile, the
+    sets run side by side as one verified lane-packed execution on the
+    array's ground truth; see :attr:`ServeRequest.input_sets`);
+    ``"redundancy": K`` requests voted redundant execution on ``K``
+    arrays.
     """
     if not isinstance(obj, dict):
         raise ServeError(f"request must be a JSON object, got {type(obj).__name__}")
@@ -120,7 +120,6 @@ def parse_request(obj: dict, default_lanes: int = 16) -> ServeRequest:
         array_id=int(obj.get("array_id", 0)),
         deadline_s=float(deadline) if deadline is not None else None,
         input_sets=input_sets,
-        engine=str(obj.get("engine", "auto")),
         redundancy=redundancy)
 
 

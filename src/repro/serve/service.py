@@ -1,22 +1,24 @@
 """The compile-and-serve job queue, worker pool, and offload policy.
 
-:class:`CompileService` accepts :class:`ServeRequest`\\ s (a DAG, one set of
-lane-bitmask inputs, and the array the request targets), pushes them through
-a bounded job queue into a pool of compile workers, and answers with
-:class:`ServeResult`\\ s.  Per request the pipeline is:
+:class:`CompileService` accepts :class:`ServeRequest`\\ s (a DAG, one or
+more sets of lane-bitmask inputs, and the array the request targets),
+pushes them through a bounded job queue into a pool of compile workers,
+and answers with :class:`ServeResult`\\ s.  Per request the pipeline is:
 
-1. **admission control** — a full queue sheds the request with a structured
+1. **admission control** — a malformed request is refused with
+   :class:`~repro.errors.ServeError`; a full queue sheds it with a structured
    :class:`~repro.errors.ServiceOverloadError` (queue depth, limit, and a
    retry-after hint derived from recent service latency);
 2. **compile** — resolve the program through the persistent
    :class:`~repro.serve.cache.ArtifactCache` (corrupt entries quarantine
    and recompile transparently), keyed by the requesting array's current
    fault map, falling back to a fresh fault-aware compile;
-3. **execute** — run on the fault-honoring array machine with
-   verify-after-write; a :class:`~repro.errors.HardFaultError` triggers the
-   remap rung *inside the service loop*: the discovered faults merge into
-   the fleet's per-array map, the program recompiles around them, the new
-   artifact is published for the whole fleet, and the request re-executes;
+3. **execute** — all ``n`` input sets run as one ``n·lanes``-lane word on
+   the array's ground-truth machine with verify-after-write; a
+   :class:`~repro.errors.HardFaultError` triggers the remap rung *inside
+   the service loop*: the discovered faults merge into the fleet's
+   per-array map, the program recompiles around them, the new artifact is
+   published for the whole fleet, and the request re-executes;
 4. **offload** — a :class:`~repro.serve.breaker.CircuitBreaker` counts CIM
    failures (compile errors, exhausted retries, deadline misses); while it
    is open — or when an array's healthy capacity drops below threshold —
@@ -62,7 +64,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.compiler import SherlockCompiler
 from repro.core.config import CompilerConfig
@@ -90,7 +92,6 @@ from repro.serve.health import (
 from repro.serve.scrub import PatrolScrubber, ScrubPolicy, ScrubReport
 from repro.sim.cpu import CpuSpec, dag_events, run_model
 from repro.sim.executor import ArrayMachine
-from repro.sim.vectorized import validate_engine
 from repro.util.retry import RetryPolicy, retry_call
 
 __all__ = [
@@ -110,7 +111,7 @@ VALID_PLACEMENTS = ("sticky", "health")
 
 @dataclass
 class ServeRequest:
-    """One unit of work: execute ``dag`` on ``inputs`` for one array."""
+    """One unit of work: execute ``dag`` on its input sets for one array."""
 
     dag: object
     inputs: dict[str, int]
@@ -121,14 +122,10 @@ class ServeRequest:
     array_id: int = 0
     #: wall-clock budget from submission; ``None`` = no deadline
     deadline_s: float | None = None
-    #: batch mode: many independent input sets through one compile
-    #: (``inputs`` is ignored when set; answers land in
-    #: :attr:`ServeResult.batch_outputs`)
+    #: batch mode: many independent input sets run side by side as one
+    #: lane-packed execution (``inputs`` is ignored when set; answers land
+    #: in :attr:`ServeResult.batch_outputs`)
     input_sets: list[dict[str, int]] | None = None
-    #: execution backend for the CIM path ("auto" | "interpreted" |
-    #: "vectorized"); batch requests resolve "auto" to the vectorized
-    #: op-table
-    engine: str = "auto"
     #: voted redundant execution: run on this many arrays and answer with
     #: the per-lane majority (1 = plain single-array execution; a CPU
     #: referee joins thin fleets and breaks even-panel ties)
@@ -174,6 +171,57 @@ class ServeResult:
     disagreeing: tuple = ()
     #: whether admission control evicted this request under overload
     shed: bool = False
+
+
+def _input_sets(request: ServeRequest) -> list[dict[str, int]]:
+    """The request's input sets: ``input_sets``, or ``[inputs]``."""
+    return request.input_sets or [request.inputs]
+
+
+def _check_request(request: ServeRequest) -> None:
+    """Refuse a malformed request at admission with ``ServeError``.
+
+    Besides ``lanes``/``redundancy`` >= 1 and a non-empty batch, every
+    input set must name exactly the DAG's inputs, each an integer in
+    ``[0, 2**lanes)`` (the rule of ``evaluate``) — lane packing relies on
+    it, so no value can bleed into a neighbouring set's lanes.
+    """
+    if request.input_sets is not None and not request.input_sets:
+        raise ServeError(
+            f"batch request {request.request_id!r} has no input sets")
+    if request.redundancy < 1:
+        raise ServeError(
+            f"redundancy must be >= 1, got {request.redundancy}")
+    if request.lanes < 1:
+        raise ServeError(f"lanes must be >= 1, got {request.lanes}")
+    names = {operand.name for operand in request.dag.inputs()}
+    limit = 1 << request.lanes
+    for inputs in _input_sets(request):
+        if inputs.keys() != names:
+            raise ServeError(
+                f"request {request.request_id!r}: inputs must name exactly "
+                f"the DAG's inputs (missing {sorted(names - inputs.keys())}, "
+                f"unknown {sorted(inputs.keys() - names)})")
+        for name, value in inputs.items():
+            if not isinstance(value, int) or not 0 <= value < limit:
+                raise ServeError(
+                    f"request {request.request_id!r}: input {name!r} = "
+                    f"{value!r} does not fit in {request.lanes} lanes")
+
+
+def _pack(sets: list[dict[str, int]], lanes: int) -> dict[str, int]:
+    """Set ``i`` fills lanes ``[i·lanes, (i+1)·lanes)`` of one wide word."""
+    return {name: sum(inputs[name] << (index * lanes)
+                      for index, inputs in enumerate(sets))
+            for name in sets[0]}
+
+
+def _unpack(packed: dict[str, int], count: int,
+            lanes: int) -> list[dict[str, int]]:
+    """Split a packed answer back into ``count`` per-set answers."""
+    mask = (1 << lanes) - 1
+    return [{name: (value >> (index * lanes)) & mask
+             for name, value in packed.items()} for index in range(count)]
 
 
 def _majority_value(values: list[int], lanes: int,
@@ -480,13 +528,7 @@ class CompileService:
         with self._lock:
             if self._closed:
                 raise ServeError("service is closed")
-        validate_engine(request.engine)
-        if request.input_sets is not None and not request.input_sets:
-            raise ServeError(
-                f"batch request {request.request_id!r} has no input sets")
-        if request.redundancy < 1:
-            raise ServeError(
-                f"redundancy must be >= 1, got {request.redundancy}")
+        _check_request(request)
         if request.deadline_s is None and self.deadline_s is not None:
             request.deadline_s = self.deadline_s
         job = _Job(request, self._clock())
@@ -513,8 +555,11 @@ class CompileService:
         Requests shed by admission control are re-submitted after the
         overload error's retry-after hint (the worker pool is draining the
         queue, so a bounded number of waits always gets them in).  Results
-        come back in request order.
+        come back in request order.  A malformed request refuses the whole
+        call with ``ServeError`` before any request is queued.
         """
+        for request in requests:
+            _check_request(request)
         jobs: list[_Job] = []
         for request in requests:
             while True:
@@ -714,7 +759,7 @@ class CompileService:
                              array_id=request.array_id, placed_array=placed)
         if offload_reason is None:
             try:
-                (program, cached, outputs, remapped, vote,
+                (program, cached, answers, remapped, vote,
                  result.compile_s, result.execute_s) = self._serve_cim(
                      job, placed)
             except SherlockError as error:
@@ -727,10 +772,6 @@ class CompileService:
             else:
                 self.breaker.record_success()
                 result.engine = "cim"
-                if request.input_sets is not None:
-                    result.batch_outputs = outputs
-                else:
-                    result.outputs = outputs
                 result.cached = cached
                 result.remapped = remapped
                 result.degradation = program.degradation
@@ -743,13 +784,13 @@ class CompileService:
             t0 = self._clock()
             result.engine = "cpu"
             result.offload_reason = offload_reason
-            if request.input_sets is not None:
-                result.batch_outputs = evaluate_many(
-                    request.dag, request.input_sets, request.lanes)
-            else:
-                result.outputs = evaluate(request.dag, request.inputs,
-                                          request.lanes)
+            answers = evaluate_many(request.dag, _input_sets(request),
+                                    request.lanes)
             result.execute_s = self._clock() - t0
+        if request.input_sets is not None:
+            result.batch_outputs = answers
+        else:
+            result.outputs = answers[0]
         result.cpu_latency_us = run_model(
             dag_events(request.dag, request.lanes), self.cpu_spec).latency_us
         result.total_s = self._clock() - started
@@ -867,10 +908,10 @@ class CompileService:
             self._check_deadline(job)
             self._chaos_hook("execute", request)
             t1 = self._clock()
-            outputs, program_used, vote = self._execute(program, request,
+            answers, program_used, vote = self._execute(program, request,
                                                         array_id)
             execute_s = self._clock() - t1
-            return (program_used, cached, outputs,
+            return (program_used, cached, answers,
                     program_used is not program, vote, compile_s, execute_s)
 
         return retry_call(
@@ -936,49 +977,8 @@ class CompileService:
             self.cache.put(key, program)
         return program, False
 
-    def _execute(self, program, request: ServeRequest, array_id: int):
-        """Run the program; a hard fault triggers the in-loop remap rung.
-
-        Returns ``(outputs, program_used, vote)`` — ``program_used`` is
-        the remapped program when the rung ran, the original otherwise,
-        and ``vote`` is ``(voters, disagreeing)`` for redundancy > 1
-        requests (``None`` for plain ones).  Batch requests
-        (``input_sets``) take the compile-once/execute-many fast path
-        instead: the lowered op-table streams every set through in bulk
-        (no per-write verification — the throughput trade-off is
-        documented in ``docs/PERFORMANCE.md``).
-        """
-        if request.redundancy > 1:
-            outputs, vote = self._execute_voted(program, request, array_id)
-            return outputs, program, vote
-        if request.input_sets is not None:
-            return program.execute_many(
-                request.input_sets, lanes=request.lanes,
-                engine=request.engine), program, None
-        ground = self._machine_faults.get(array_id)
-        machine = program.machine(request.lanes, verify_writes=True,
-                                  fault_map=ground,
-                                  spare_cells=self._spare_cells)
-        try:
-            outputs = run_program(program, machine, request.inputs)
-        except HardFaultError:
-            self._note_machine(machine, array_id, hard_fault=True)
-            remapped = self._remap(program, request, array_id,
-                                   machine.discovered_faults)
-            retry_machine = remapped.machine(request.lanes, verify_writes=True,
-                                             fault_map=ground,
-                                             spare_cells=self._spare_cells)
-            outputs = run_program(remapped, retry_machine, request.inputs)
-            self._note_machine(retry_machine, array_id)
-            return outputs, remapped, None
-        self._note_machine(machine, array_id)
-        return outputs, program, None
-
-    # ------------------------------------------------------------------
-    # voted redundant execution
-    # ------------------------------------------------------------------
     def _voter_arrays(self, placed: int, k: int) -> list[int]:
-        """Up to ``k`` voting arrays: the placement first, then the
+        """Up to ``k`` panel arrays: the placement first, then the
         cheapest non-quarantined fleet members."""
         voters = [placed]
         ranked = sorted((a for a in self._fleet_arrays() if a != placed),
@@ -991,69 +991,63 @@ class CompileService:
             voters.append(array_id)
         return voters
 
-    def _execute_voted(self, program, request: ServeRequest, placed: int):
-        """Execute on ``redundancy`` arrays and majority-vote per lane.
+    def _execute(self, program, request: ServeRequest, placed: int):
+        """Run the request as lane-packed, verified ballots and vote.
 
-        Ballots come from the placement plus the cheapest healthy fleet
-        members; a voter that hard-faults drops out (recorded as a
-        rate-1.0 health sample).  The CPU reference evaluator joins the
-        panel as referee whenever fewer than ``redundancy`` CIM ballots
-        survive *or* the panel would be even, and breaks exact ties — so
-        a strict per-lane majority always exists.  Every out-voted array
-        is reported via
-        :meth:`~repro.serve.health.HealthRegistry.record_vote_disagreement`.
-        Returns ``(outputs, (voters, disagreeing))``.
+        Each panel member (:meth:`_voter_arrays`; a plain request is a
+        panel of one) runs one verify-after-write machine on its ground
+        truth over all input sets packed side by side (:func:`_pack`).  A
+        plain request's :class:`HardFaultError` takes the in-loop remap
+        rung and re-runs on the remapped program; a voter's drops it out.
+        The CPU referee (one :func:`evaluate` over the packed lanes) joins
+        when fewer than ``redundancy`` ballots survive or the panel would
+        be even, and breaks ties; out-voted arrays are reported to health.
+        Returns ``(answers, program_used, vote)``: one answer per set, the
+        remapped program when the rung ran, and ``(voters, disagreeing)``
+        for voted requests (``None`` otherwise).
         """
-        batch = request.input_sets is not None
-        ballots: list[tuple[int, object]] = []
+        sets = _input_sets(request)
+        width = len(sets) * request.lanes
+        packed = _pack(sets, request.lanes)
+        voted_request = request.redundancy > 1
+        used = program
+        ballots: list[tuple[int, dict[str, int]]] = []
         for array_id in self._voter_arrays(placed, request.redundancy):
             ground = self._machine_faults.get(array_id)
+            machine = program.machine(width, verify_writes=True,
+                                      fault_map=ground,
+                                      spare_cells=self._spare_cells)
             try:
-                if batch:
-                    # a batch runs through its program's own fault map (the
-                    # vectorized lowering bakes it in): clone it per voter
-                    voter = (program if ground is None
-                             else replace(program, fault_map=ground.copy()))
-                    outputs = voter.execute_many(
-                        request.input_sets, lanes=request.lanes,
-                        engine=request.engine)
-                else:
-                    machine = program.machine(
-                        request.lanes, verify_writes=True, fault_map=ground,
-                        spare_cells=self._spare_cells)
-                    outputs = run_program(program, machine, request.inputs)
-                    self._note_machine(machine, array_id)
+                outputs = run_program(program, machine, packed)
             except HardFaultError:
-                self.health.record_execution(array_id, hard_fault=True)
-                continue
+                self._note_machine(machine, array_id, hard_fault=True)
+                if voted_request:
+                    continue
+                used = self._remap(program, request, array_id,
+                                   machine.discovered_faults)
+                machine = used.machine(width, verify_writes=True,
+                                       fault_map=ground,
+                                       spare_cells=self._spare_cells)
+                outputs = run_program(used, machine, packed)
+            self._note_machine(machine, array_id)
             ballots.append((array_id, outputs))
         referee = None
         if len(ballots) < request.redundancy or len(ballots) % 2 == 0:
-            if batch:
-                referee = evaluate_many(request.dag, request.input_sets,
-                                        request.lanes)
-            else:
-                referee = evaluate(request.dag, request.inputs,
-                                   request.lanes)
+            referee = evaluate(request.dag, packed, width)
             ballots.append((-1, referee))
-        if batch:
-            voted = [
-                _majority_outputs(
-                    [outputs[index] for _, outputs in ballots],
-                    request.lanes,
-                    None if referee is None else referee[index])
-                for index in range(len(request.input_sets))]
-        else:
-            voted = _majority_outputs([outputs for _, outputs in ballots],
-                                      request.lanes,
-                                      referee)
+        panel = [outputs for _, outputs in ballots]
+        voted = (panel[0] if len(panel) == 1
+                 else _majority_outputs(panel, width, referee))
+        answers = _unpack(voted, len(sets), request.lanes)
+        if not voted_request:
+            return answers, used, None
         voters = tuple("cpu" if a < 0 else a for a, _ in ballots)
         disagreeing = tuple(a for a, outputs in ballots
                             if a >= 0 and outputs != voted)
         for array_id in disagreeing:
             self.health.record_vote_disagreement(array_id)
         self.stats_counters.note_vote(len(disagreeing))
-        return voted, (voters, disagreeing)
+        return answers, used, (voters, disagreeing)
 
     def _note_machine(self, machine: ArrayMachine, array_id: int,
                       *, hard_fault: bool = False) -> None:
