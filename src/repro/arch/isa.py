@@ -27,7 +27,7 @@ from repro.dfg.ops import OpType
 from repro.errors import SimulationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """Base class for all CIM instructions."""
 
@@ -42,7 +42,7 @@ def _cols_str(cols: tuple[int, ...]) -> str:
     return ",".join(str(c) for c in cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadInst(Instruction):
     """Plain read (``ops is None``, single row) or CIM scouting read."""
 
@@ -81,7 +81,7 @@ class ReadInst(Instruction):
         return base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteInst(Instruction):
     """Write the row buffer's columns back into one row of the array."""
 
@@ -99,7 +99,7 @@ class WriteInst(Instruction):
         return f"write [{self.array}][{_cols_str(self.cols)}][{self.row}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShiftInst(Instruction):
     """Shift row buffer columns by ``amount`` (positive = higher indices)."""
 
@@ -115,7 +115,7 @@ class ShiftInst(Instruction):
         return f"shift [{self.array}] {direction}[{abs(self.amount)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotInst(Instruction):
     """Invert row-buffer bits at the selected columns (row-buffer CMOS)."""
 
@@ -132,7 +132,7 @@ class NotInst(Instruction):
         return f"not [{self.array}][{_cols_str(self.cols)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferInst(Instruction):
     """Copy row-buffer bits of ``cols`` from ``array`` to ``dst_array``."""
 

@@ -16,7 +16,7 @@ from repro.arch.target import TargetSpec
 from repro.errors import MappingError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellAddr:
     """One cell of one array (all lanes of it)."""
 

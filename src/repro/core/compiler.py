@@ -107,9 +107,18 @@ class CompiledProgram:
         """The cell placement the mapper chose for every operand."""
         return self.mapping.layout
 
+    def _cache_entry(self):
+        """The :class:`~repro.core.cache.ArtifactCache` entry this program
+        is a view of (``None`` for any other program): a view's derived
+        facts are its entry's, computed once for every hit."""
+        return self.__dict__.get("_entry")
+
     @cached_property
     def metrics(self) -> TraceMetrics:
         """Latency/energy/P_app of one run of the program (Table 2 row)."""
+        entry = self._cache_entry()
+        if entry is not None:
+            return entry.metrics
         return analyze_trace(self.instructions, self.target)
 
     @cached_property
@@ -123,6 +132,9 @@ class CompiledProgram:
         barrier between stages — a stage cannot start before every array
         of the previous one drained.
         """
+        entry = self._cache_entry()
+        if entry is not None:
+            return entry.overlap
         if self.stages is None:
             return analyze_overlap(self.instructions, self.target)
         timeline = OverlapTimeline(self.target)

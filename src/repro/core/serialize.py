@@ -250,13 +250,17 @@ def program_to_dict(program: CompiledProgram) -> dict:
     return document
 
 
-def program_from_dict(document: dict) -> CompiledProgram:
+def program_from_dict(document: dict, *,
+                      known_instructions: dict | None = None,
+                      ) -> CompiledProgram:
     """Rebuild a program from :func:`program_to_dict`'s document.
 
     Accepts every version in :data:`SUPPORTED_VERSIONS`; raises
     :class:`~repro.errors.SherlockError` on anything else (including
     documents that are not dictionaries at all — the artifact cache
-    feeds this arbitrary on-disk bytes).
+    feeds this arbitrary on-disk bytes).  ``known_instructions`` maps
+    instruction lines to instructions parsed before (see
+    :func:`~repro.arch.parse.parse_program`).
     """
     if not isinstance(document, dict):
         raise SherlockError("program document must be a JSON object")
@@ -281,7 +285,8 @@ def program_from_dict(document: dict) -> CompiledProgram:
     if stage_docs is None:
         try:
             layout = _layout_from_dict(target, document, id_map, fault_map)
-            instructions = parse_program(document["instructions"])
+            instructions = parse_program(document["instructions"],
+                                         known_instructions)
         except (KeyError, TypeError, ValueError) as error:
             raise SherlockError(
                 f"malformed program document: {error!r}") from error

@@ -29,7 +29,7 @@ class OperandKind(enum.Enum):
     INTERMEDIATE = "intermediate"
 
 
-@dataclass
+@dataclass(slots=True)
 class OperandNode:
     """An orange node: a bulk bit-vector living in (or bound for) the array."""
 
@@ -45,7 +45,7 @@ class OperandNode:
         return self.producer is None
 
 
-@dataclass
+@dataclass(slots=True)
 class OpNode:
     """A blue node: one column-wise scouting-logic operation."""
 

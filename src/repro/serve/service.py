@@ -484,6 +484,8 @@ class CompileService:
         self._closed = False
         self._lock = threading.Lock()
         self._served_dags: OrderedDict = OrderedDict()
+        #: artifact key -> event set when its in-flight compile is done
+        self._compiling: dict[str, threading.Event] = {}
         self._recompile_threads: list[threading.Thread] = []
         self._breaker_trips_seen = 0
         self._workers = [
@@ -945,9 +947,10 @@ class CompileService:
         return self.config.with_(exclude_arrays=exclude,
                                  array_penalties=penalties)
 
-    def _note_served(self, request: ServeRequest, array_id: int) -> None:
+    def _note_served(self, request: ServeRequest, array_id: int,
+                     dag_hash: str) -> None:
         """Remember the dag for proactive recompiles (bounded window)."""
-        entry = (array_id, structural_hash(request.dag))
+        entry = (array_id, dag_hash)
         with self._lock:
             self._served_dags[entry] = request.dag
             self._served_dags.move_to_end(entry)
@@ -961,20 +964,38 @@ class CompileService:
                                 cache=self.cache is None)
 
     def _compiled(self, request: ServeRequest, array_id: int):
-        """Resolve the request's program: artifact cache, then compile."""
+        """Resolve the request's program: artifact cache, then compile.
+
+        Misses are single-flight per artifact key: while one request
+        compiles a key, the others that need it wait, then hit.
+        """
         fault_map = self._known_map(array_id)
         config = self._config_for(fault_map)
-        self._note_served(request, array_id)
-        key = None
-        if self.cache is not None:
-            key = ArtifactCache.key_for(request.dag, self.target,
-                                        config, fault_map)
+        dag_hash = structural_hash(request.dag)
+        self._note_served(request, array_id, dag_hash)
+        if self.cache is None:
+            program = self._compiler(config, fault_map).compile(request.dag)
+            return program, False
+        key = ArtifactCache.key_for(request.dag, self.target, config,
+                                    fault_map, dag_hash=dag_hash)
+        while True:
+            with self._lock:
+                flight = self._compiling.get(key)
+            if flight is not None:
+                flight.wait()
             program = self.cache.get(key)
             if program is not None:
                 return program, True
-        program = self._compiler(config, fault_map).compile(request.dag)
-        if self.cache is not None:
+            with self._lock:
+                if key not in self._compiling:
+                    self._compiling[key] = threading.Event()
+                    break
+        try:
+            program = self._compiler(config, fault_map).compile(request.dag)
             self.cache.put(key, program)
+        finally:
+            with self._lock:
+                self._compiling.pop(key).set()
         return program, False
 
     def _voter_arrays(self, placed: int, k: int) -> list[int]:

@@ -2,9 +2,11 @@
 
 import json
 import os
+import pathlib
 import random
 import socket
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -33,6 +35,7 @@ from repro.serve import (
     serve_tcp,
 )
 from repro.sim.cpu import dag_events, run_model
+from repro.sim.metrics import analyze_trace
 from repro.workloads.synthetic import synthetic_dag
 
 
@@ -265,6 +268,158 @@ class TestMemoryTier:
         assert cache.stats() == {"hits": 1, "misses": 1, "quarantined": 0,
                                  "writes": MEMORY_ENTRIES + 1,
                                  "evictions": 0, "entries": MEMORY_ENTRIES}
+
+    def test_derived_facts_are_computed_once_per_entry(self, tmp_path,
+                                                       monkeypatch):
+        from repro.core import compiler
+
+        calls = []
+
+        def counted(instructions, target):
+            calls.append(len(instructions))
+            return analyze_trace(instructions, target)
+
+        monkeypatch.setattr(compiler, "analyze_trace", counted)
+        key, program = self.compiled()
+        cache = ArtifactCache(tmp_path)
+        cache.put(key, program)
+        views = [cache.get(key) for _ in range(5)]
+        want = analyze_trace(program.instructions, program.target)
+        assert all(view.metrics == want for view in views)
+        assert len(calls) == 1
+        assert views[0].overlap is views[4].overlap
+
+    def test_interned_values_are_shared_between_entries(self):
+        # two compiles of one DAG: equal values, distinct objects
+        _, first = self.compiled()
+        _, second = self.compiled()
+        assert first.instructions[0] is not second.instructions[0]
+        held = (list(second.instructions),
+                {op: list(addrs)
+                 for op, addrs in second.layout._copies.items()})
+        cache = ArtifactCache()
+        cache.put("a", first)
+        cache.put("b", second)
+        a, b = cache.get("a"), cache.get("b")
+        assert a.instructions == second.instructions
+        assert all(x is y for x, y in zip(a.instructions, b.instructions))
+        for operand, addrs in a.layout._copies.items():
+            assert all(x is y for x, y in
+                       zip(addrs, b.layout._copies[operand]))
+        # the callers' own program objects were left untouched
+        assert all(x is y for x, y in zip(second.instructions, held[0]))
+        assert b.layout is not second.layout
+        for operand, addrs in second.layout._copies.items():
+            assert all(x is y for x, y in zip(addrs, held[1][operand]))
+
+    def test_editing_a_view_poisons_neither_tier_nor_other_views(
+            self, tmp_path):
+        key, program = self.compiled()
+        want = analyze_trace(program.instructions, program.target)
+        cache = ArtifactCache(tmp_path)
+        cache.put(key, program)
+        edited, other = cache.get(key), cache.get(key)
+        edited.instructions.clear()
+        edited.pass_events.clear()
+        assert other.metrics == want
+        assert other.instructions == program.instructions
+        assert cache.get(key).instructions == program.instructions
+        cold = ArtifactCache(tmp_path).get(key)
+        assert cold.instructions == program.instructions
+        assert cold.metrics == want
+
+    @staticmethod
+    def assert_table_matches_tier(cache):
+        """The intern table counts exactly the values live entries hold."""
+        import collections
+        import itertools
+
+        holds = collections.Counter(
+            value for entry, _ in cache._memory.values()
+            for value in itertools.chain(entry.instructions,
+                                         *entry.layout._copies.values()))
+        assert {value: slot[1] for value, slot in
+                cache._interned.items()} == dict(holds)
+        assert set(cache._known_lines) == {
+            value.to_text() for value in holds if hasattr(value, "to_text")}
+
+    def test_intern_table_holds_only_live_entries(self, tmp_path,
+                                                  monkeypatch):
+        from repro.core import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
+        target, config = small_target(), CompilerConfig()
+        compiler = SherlockCompiler(target, config, cache=False)
+        cache = ArtifactCache(tmp_path)
+        for seed in (1, 2, 3, 4):
+            cache.put(f"k{seed}", compiler.compile(small_dag(seed=seed)))
+            self.assert_table_matches_tier(cache)
+        assert "k1" not in cache._memory and len(cache._memory) == 2
+        assert ArtifactCache(tmp_path).get("k1") is not None  # disk has it
+        other = ArtifactCache(tmp_path)  # a stale entry leaves the tier
+        other.put("k4", compiler.compile(small_dag(seed=5)))
+        assert cache.get("k4") is not None
+        self.assert_table_matches_tier(cache)
+        cache.clear()
+        assert cache._interned == {} and cache._known_lines == {}
+
+    def test_intern_table_survives_concurrent_puts_and_gets(
+            self, tmp_path, monkeypatch):
+        import sys
+
+        from repro.core import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 3)
+        target, config = small_target(), CompilerConfig()
+        compiler = SherlockCompiler(target, config, cache=False)
+        programs = [compiler.compile(small_dag(seed=seed))
+                    for seed in (1, 2, 3)]
+        cache = ArtifactCache(tmp_path)
+
+        def worker(index):
+            for step in range(40):
+                key = f"k{(index + step) % 5}"
+                if step % 3 == 0:
+                    cache.put(key, programs[step % 3])
+                else:
+                    cache.get(key)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        self.assert_table_matches_tier(cache)
+
+    def test_golden_v2_artifact_still_loads(self, tmp_path):
+        """An entry file written before compact JSON and interning."""
+        golden = pathlib.Path(__file__).parent / "golden" \
+            / "artifact_v2_serve1.json"
+        document = json.loads(golden.read_text())
+        target, config = small_target(), CompilerConfig()
+        dag = small_dag()
+        faults = FaultMap.random_map(target, fraction=0.02, seed=3)
+        key = ArtifactCache.key_for(dag, target, config, faults)
+        assert document["key"] == key  # program keys are unchanged
+        cache = ArtifactCache(tmp_path)
+        cache.path_for(key).write_bytes(golden.read_bytes())
+        loaded = cache.get(key)
+        program = SherlockCompiler(target, config, cache=False,
+                                   fault_map=faults).compile(dag)
+        assert loaded.instructions == program.instructions
+        assert loaded.spare_pool == program.spare_pool
+        assert loaded.spare_pool
+        inputs = inputs_for(dag)
+        assert loaded.execute(inputs, 8, verify_writes=True) == \
+            evaluate(dag, inputs, 8)
+        assert cache.get(key).instructions == program.instructions
 
 
 # ----------------------------------------------------------------------
@@ -541,6 +696,31 @@ class TestCompileService:
         assert stats["cache"]["hits"] >= 3  # cached serving did happen
         assert stats["errors"] == 0
         assert stats["completed"] == 9
+
+    def test_overlapping_identical_misses_compile_once(self, tmp_path,
+                                                       monkeypatch):
+        compiles = []
+        compile_dag = SherlockCompiler.compile
+
+        def slow_compile(self, dag):
+            compiles.append(dag.name)
+            time.sleep(0.3)
+            return compile_dag(self, dag)
+
+        monkeypatch.setattr(SherlockCompiler, "compile", slow_compile)
+        dag = small_dag(seed=7)
+        cache = ArtifactCache(tmp_path)
+        requests = [request_for(dag, seed=seed, request_id=f"r{seed}")
+                    for seed in (0, 1)]
+        with CompileService(small_target(), CompilerConfig(), cache=cache,
+                            workers=2) as service:
+            results = service.process(requests)
+        assert compiles == [dag.name]
+        for request, result in zip(requests, results):
+            assert result.error is None
+            assert result.outputs == evaluate(dag, request.inputs, 8)
+        assert sorted(result.cached for result in results) == [False, True]
+        assert cache.stats()["hits"] == 1
 
 
 class TestStatsSchema:
