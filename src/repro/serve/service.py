@@ -63,6 +63,7 @@ import math
 import queue
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -171,6 +172,23 @@ class ServeResult:
     disagreeing: tuple = ()
     #: whether admission control evicted this request under overload
     shed: bool = False
+
+
+def _weak_callback(method):
+    """Call a bound ``method`` through a weak reference to its object.
+
+    The health registry's transition callback would otherwise point back
+    at the service that owns the registry, and a dropped service would
+    wait for the cycle collector, holding its artifact tier until then.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def call(*args):
+        bound = ref()
+        if bound is not None:
+            bound(*args)
+
+    return call
 
 
 def _input_sets(request: ServeRequest) -> list[dict[str, int]]:
@@ -470,7 +488,7 @@ class CompileService:
         self.stats_counters = ServiceStats()
         self.health = health or HealthRegistry(
             target.technology, health_policy, clock=clock,
-            on_transition=self._on_health_transition)
+            on_transition=_weak_callback(self._on_health_transition))
         self.scrubber = PatrolScrubber(target, scrub)
         self._since_scrub = 0
         self._fault_maps = dict(fault_maps or {})

@@ -697,6 +697,24 @@ class TestCompileService:
         assert stats["errors"] == 0
         assert stats["completed"] == 9
 
+    def test_closed_service_is_freed_by_reference_counting(self, tmp_path):
+        """Its artifact tier does not wait for the cycle collector."""
+        import gc
+        import weakref
+
+        cache = ArtifactCache(tmp_path)
+        service = CompileService(small_target(), CompilerConfig(),
+                                 cache=cache, workers=1)
+        assert service.process([request_for(small_dag())])[0].error is None
+        service.close()
+        alive = weakref.ref(service)
+        gc.disable()
+        try:
+            del service
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_overlapping_identical_misses_compile_once(self, tmp_path,
                                                        monkeypatch):
         compiles = []
