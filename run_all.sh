@@ -547,7 +547,7 @@ python -m repro.cli health --tech reram --size 16 --arrays 4 \
 
 echo "== paper experiments (tables land in benchmarks/results/) =="
 PAPER_TMP=$(mktemp -d)
-for name in fig6.txt table2.txt fig7.txt; do
+for name in fig2b.txt fig6.txt table2.txt fig7.txt; do
     # the committed copy; outside a git checkout, the checked-out one
     git show "HEAD:benchmarks/results/$name" > "$PAPER_TMP/$name" \
         2>/dev/null || cp "benchmarks/results/$name" "$PAPER_TMP/$name"
@@ -555,12 +555,12 @@ done
 python -m pytest benchmarks/ 2>&1 | tee benchmarks/results/full_run.log
 
 echo "== paper gate (regenerated tables vs their committed copies) =="
-PAPER_FILES="fig6.txt table2.txt fig7.txt"
+PAPER_FILES="fig2b.txt fig6.txt table2.txt fig7.txt"
 if [ -n "$QUICK" ]; then
     # SHERLOCK_BENCH_AES_ROUNDS=2 changes the AES rows of both tables
-    echo "QUICK=1: comparing fig6.txt only (reduced-round AES changes" \
-         "table2.txt and fig7.txt)"
-    PAPER_FILES="fig6.txt"
+    echo "QUICK=1: comparing fig2b.txt and fig6.txt only (reduced-round" \
+         "AES changes table2.txt and fig7.txt)"
+    PAPER_FILES="fig2b.txt fig6.txt"
 fi
 for name in $PAPER_FILES; do
     if ! diff -u "$PAPER_TMP/$name" "benchmarks/results/$name"; then

@@ -65,21 +65,12 @@ def parse_instruction(line: str) -> Instruction:
     raise SimulationError(f"cannot parse instruction: {line!r}")
 
 
-def parse_program(text: str,
-                  known: dict[str, Instruction] | None = None,
-                  ) -> list[Instruction]:
-    """Parse a whole program; blank lines and ``#`` comments are skipped.
-
-    ``known`` maps lines to their already-parsed instructions; a line
-    found there is reused instead of parsed again.
-    """
-    known = known or {}
+def parse_program(text: str) -> list[Instruction]:
+    """Parse a whole program; blank lines and ``#`` comments are skipped."""
     instructions = []
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        inst = known.get(stripped)
-        instructions.append(inst if inst is not None
-                            else parse_instruction(stripped))
+        instructions.append(parse_instruction(stripped))
     return instructions

@@ -250,17 +250,13 @@ def program_to_dict(program: CompiledProgram) -> dict:
     return document
 
 
-def program_from_dict(document: dict, *,
-                      known_instructions: dict | None = None,
-                      ) -> CompiledProgram:
+def program_from_dict(document: dict) -> CompiledProgram:
     """Rebuild a program from :func:`program_to_dict`'s document.
 
     Accepts every version in :data:`SUPPORTED_VERSIONS`; raises
     :class:`~repro.errors.SherlockError` on anything else (including
     documents that are not dictionaries at all — the artifact cache
-    feeds this arbitrary on-disk bytes).  ``known_instructions`` maps
-    instruction lines to instructions parsed before (see
-    :func:`~repro.arch.parse.parse_program`).
+    feeds this arbitrary on-disk bytes).
     """
     if not isinstance(document, dict):
         raise SherlockError("program document must be a JSON object")
@@ -285,8 +281,7 @@ def program_from_dict(document: dict, *,
     if stage_docs is None:
         try:
             layout = _layout_from_dict(target, document, id_map, fault_map)
-            instructions = parse_program(document["instructions"],
-                                         known_instructions)
+            instructions = parse_program(document["instructions"])
         except (KeyError, TypeError, ValueError) as error:
             raise SherlockError(
                 f"malformed program document: {error!r}") from error

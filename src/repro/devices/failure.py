@@ -33,11 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
-
 from repro.devices.technology import Technology
 from repro.dfg.ops import OpType
 from repro.errors import DeviceError
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,13 @@ def composite_state(tech: Technology, k: int, j: int) -> CompositeState:
 
 
 def boundary_error(left: CompositeState, right: CompositeState) -> float:
-    """Misclassification probability between two adjacent composite states."""
+    """Misclassification probability between two adjacent composite states:
+    the Gaussian tail ``Q(z) = ½·erfc(z/√2)`` at the equal-z-score point."""
     gap = abs(left.mu - right.mu)
     spread = left.sigma + right.sigma
     if spread == 0.0:
         return 0.0
-    return float(norm.sf(gap / spread))
+    return 0.5 * math.erfc(gap / spread / math.sqrt(2.0))
 
 
 def _boundaries_for(op: OpType, k: int) -> list[tuple[int, int]]:
@@ -134,5 +136,7 @@ def overlap_curve(tech: Technology, k: int, points: int = 512) -> dict[str, list
     xs = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
     curves: dict[str, list[float]] = {"conductance": xs}
     for j, s in enumerate(states):
-        curves[f"state_{j}"] = [float(norm.pdf(x, s.mu, s.sigma)) for x in xs]
+        curves[f"state_{j}"] = [
+            math.exp(-((x - s.mu) / s.sigma) ** 2 / 2.0) / _SQRT_2PI / s.sigma
+            for x in xs]
     return curves

@@ -7,8 +7,14 @@ that quietly rot in a growing codebase.
 
 import importlib
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -111,3 +117,17 @@ def test_public_callables_have_docstrings(name):
                     if not inspect.getdoc(meth):
                         missing.append(f"{attr_name}.{meth_name}")
     assert not missing, f"{name}: undocumented public callables: {missing}"
+
+
+def test_runtime_imports_only_numpy():
+    """The runtime's one third-party dependency is numpy: importing the
+    library, the CLI, the serving runtime and the campaigns in a fresh
+    interpreter loads neither scipy nor networkx."""
+    script = ("import sys, repro, repro.cli, repro.serve, repro.reliability; "
+              "print(sorted({m.split('.')[0] for m in sys.modules} "
+              "& {'scipy', 'networkx'}))")
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]", result.stdout

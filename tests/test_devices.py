@@ -1,6 +1,8 @@
 """Unit tests for the device models: technologies, P_DF, array costs."""
 
+import json
 import math
+import pathlib
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.devices import (
     PCM,
     RERAM,
     STT_MRAM,
+    TECHNOLOGIES,
     ArrayCostModel,
     Technology,
     application_failure_probability,
@@ -187,6 +190,35 @@ class TestOverlapCurve:
         peak0 = xs[max(range(64), key=lambda i: curves["state_0"][i])]
         peak2 = xs[max(range(64), key=lambda i: curves["state_2"][i])]
         assert peak0 > peak2  # all-LRS has the higher conductance
+
+
+class TestFailureGolden:
+    """P_DF and Fig. 2b densities pinned to values recorded with
+    ``scipy.stats.norm``; the values reach ~1e-99, so the check is
+    relative."""
+
+    GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
+                         / "p_df_v1.json").read_text())
+
+    def test_every_tech_op_and_k(self):
+        cases = {f"{name}/{op.value}/{k}": (tech, op, k)
+                 for name, tech in TECHNOLOGIES.items() for op in OpType
+                 for k in range(1, tech.max_activated_rows + 1)}
+        assert set(cases) == set(self.GOLDEN["p_df"])
+        for case, (tech, op, k) in cases.items():
+            assert math.isclose(decision_failure_probability(tech, op, k),
+                                self.GOLDEN["p_df"][case],
+                                rel_tol=1e-12), case
+
+    def test_overlap_curves(self):
+        for case, golden in self.GOLDEN["overlap_curve"].items():
+            name, k = case.split("/")
+            curves = overlap_curve(TECHNOLOGIES[name], int(k), points=8)
+            assert set(curves) == set(golden), case
+            for series, values in golden.items():
+                assert all(math.isclose(got, want, rel_tol=1e-12)
+                           for got, want in zip(curves[series], values,
+                                                strict=True)), (case, series)
 
 
 class TestArrayCostModel:

@@ -255,19 +255,51 @@ class TestMemoryTier:
             program.mapping, instructions=newer)))
         assert cache.get(key).instructions == newer
 
-    def test_memory_only_cache_is_bounded(self):
-        from repro.core.cache import MEMORY_ENTRIES
+    @staticmethod
+    def held_instructions(cache):
+        """The instructions the memory tier holds in total."""
+        with cache._lock:
+            return sum(len(entry.instructions)
+                       for entry, _ in cache._memory.values())
 
-        cache = ArtifactCache()
+    def test_memory_only_cache_is_bounded(self, monkeypatch):
+        from repro.core import cache as cache_module
+
         _, program = self.compiled()
-        for index in range(MEMORY_ENTRIES + 1):
+        size = len(program.instructions)
+        # room for three copies and a half: the fourth put evicts one
+        monkeypatch.setattr(cache_module, "MEMORY_INSTRUCTIONS",
+                            3 * size + size // 2)
+        cache = ArtifactCache()
+        for index in range(4):
             cache.put(f"key{index}", program)
+        assert self.held_instructions(cache) == 3 * size
         assert cache.get("key0") is None  # least recently used, dropped
-        assert cache.get(f"key{MEMORY_ENTRIES}") is not None
+        assert cache.get("key3") is not None
         assert "key1" in cache and "key0" not in cache
         assert cache.stats() == {"hits": 1, "misses": 1, "quarantined": 0,
-                                 "writes": MEMORY_ENTRIES + 1,
-                                 "evictions": 0, "entries": MEMORY_ENTRIES}
+                                 "writes": 4, "evictions": 0, "entries": 3}
+
+    def test_program_longer_than_the_budget_is_not_held(self, tmp_path,
+                                                         monkeypatch):
+        from repro.core import cache as cache_module
+
+        key, program = self.compiled()
+        longer = replace(program, mapping=replace(
+            program.mapping, instructions=program.instructions * 2))
+        monkeypatch.setattr(cache_module, "MEMORY_INSTRUCTIONS",
+                            len(program.instructions))
+        memory_only = ArtifactCache()
+        memory_only.put("fits", program)
+        memory_only.put("long", longer)
+        assert "long" not in memory_only and "fits" in memory_only
+        assert memory_only.get("long") is None
+        cache = ArtifactCache(tmp_path)  # the disk tier still holds it
+        cache.put("fits", program)
+        cache.put(key, longer)
+        assert list(cache._memory) == ["fits"]
+        assert cache.get(key).instructions == longer.instructions
+        assert list(cache._memory) == ["fits"]
 
     def test_derived_facts_are_computed_once_per_entry(self, tmp_path,
                                                        monkeypatch):
@@ -289,29 +321,6 @@ class TestMemoryTier:
         assert len(calls) == 1
         assert views[0].overlap is views[4].overlap
 
-    def test_interned_values_are_shared_between_entries(self):
-        # two compiles of one DAG: equal values, distinct objects
-        _, first = self.compiled()
-        _, second = self.compiled()
-        assert first.instructions[0] is not second.instructions[0]
-        held = (list(second.instructions),
-                {op: list(addrs)
-                 for op, addrs in second.layout._copies.items()})
-        cache = ArtifactCache()
-        cache.put("a", first)
-        cache.put("b", second)
-        a, b = cache.get("a"), cache.get("b")
-        assert a.instructions == second.instructions
-        assert all(x is y for x, y in zip(a.instructions, b.instructions))
-        for operand, addrs in a.layout._copies.items():
-            assert all(x is y for x, y in
-                       zip(addrs, b.layout._copies[operand]))
-        # the callers' own program objects were left untouched
-        assert all(x is y for x, y in zip(second.instructions, held[0]))
-        assert b.layout is not second.layout
-        for operand, addrs in second.layout._copies.items():
-            assert all(x is y for x, y in zip(addrs, held[1][operand]))
-
     def test_editing_a_view_poisons_neither_tier_nor_other_views(
             self, tmp_path):
         key, program = self.compiled()
@@ -328,53 +337,21 @@ class TestMemoryTier:
         assert cold.instructions == program.instructions
         assert cold.metrics == want
 
-    @staticmethod
-    def assert_table_matches_tier(cache):
-        """The intern table counts exactly the values live entries hold."""
-        import collections
-        import itertools
-
-        holds = collections.Counter(
-            value for entry, _ in cache._memory.values()
-            for value in itertools.chain(entry.instructions,
-                                         *entry.layout._copies.values()))
-        assert {value: slot[1] for value, slot in
-                cache._interned.items()} == dict(holds)
-        assert set(cache._known_lines) == {
-            value.to_text() for value in holds if hasattr(value, "to_text")}
-
-    def test_intern_table_holds_only_live_entries(self, tmp_path,
-                                                  monkeypatch):
-        from repro.core import cache as cache_module
-
-        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
-        target, config = small_target(), CompilerConfig()
-        compiler = SherlockCompiler(target, config, cache=False)
-        cache = ArtifactCache(tmp_path)
-        for seed in (1, 2, 3, 4):
-            cache.put(f"k{seed}", compiler.compile(small_dag(seed=seed)))
-            self.assert_table_matches_tier(cache)
-        assert "k1" not in cache._memory and len(cache._memory) == 2
-        assert ArtifactCache(tmp_path).get("k1") is not None  # disk has it
-        other = ArtifactCache(tmp_path)  # a stale entry leaves the tier
-        other.put("k4", compiler.compile(small_dag(seed=5)))
-        assert cache.get("k4") is not None
-        self.assert_table_matches_tier(cache)
-        cache.clear()
-        assert cache._interned == {} and cache._known_lines == {}
-
-    def test_intern_table_survives_concurrent_puts_and_gets(
+    def test_tier_stays_within_budget_under_concurrent_puts_and_gets(
             self, tmp_path, monkeypatch):
         import sys
 
         from repro.core import cache as cache_module
 
-        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 3)
         target, config = small_target(), CompilerConfig()
         compiler = SherlockCompiler(target, config, cache=False)
         programs = [compiler.compile(small_dag(seed=seed))
                     for seed in (1, 2, 3)]
+        budget = 2 * max(len(p.instructions) for p in programs)
+        monkeypatch.setattr(cache_module, "MEMORY_INSTRUCTIONS", budget)
         cache = ArtifactCache(tmp_path)
+        put = [p.instructions for p in programs]
+        failures = []
 
         def worker(index):
             for step in range(40):
@@ -382,7 +359,12 @@ class TestMemoryTier:
                 if step % 3 == 0:
                     cache.put(key, programs[step % 3])
                 else:
-                    cache.get(key)
+                    hit = cache.get(key)
+                    if hit is not None and hit.instructions not in put:
+                        failures.append((key, "hit matches no put"))
+                held = self.held_instructions(cache)
+                if held > budget:
+                    failures.append((key, held))
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -396,10 +378,11 @@ class TestMemoryTier:
         finally:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
-        self.assert_table_matches_tier(cache)
+        assert failures == []
+        assert 0 < self.held_instructions(cache) <= budget
 
     def test_golden_v2_artifact_still_loads(self, tmp_path):
-        """An entry file written before compact JSON and interning."""
+        """An entry file written before compact JSON."""
         golden = pathlib.Path(__file__).parent / "golden" \
             / "artifact_v2_serve1.json"
         document = json.loads(golden.read_text())
