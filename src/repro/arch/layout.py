@@ -47,6 +47,9 @@ class Layout:
         self._free_pool: dict[int, list[CellAddr]] = {}
         self._recycled = 0
         self._burned = 0
+        # addressing constants, fixed by the target
+        self._cols = target.cols
+        self._num_global_cols = target.num_arrays * target.cols
 
     # ------------------------------------------------------------------
     # addressing
@@ -54,19 +57,19 @@ class Layout:
     @property
     def num_global_cols(self) -> int:
         """Total column capacity across every array of the target."""
-        return self.target.num_arrays * self.target.cols
+        return self._num_global_cols
 
     def split(self, gcol: int) -> tuple[int, int]:
         """Global column -> (array, local column)."""
-        if not 0 <= gcol < self.num_global_cols:
+        if not 0 <= gcol < self._num_global_cols:
             raise MappingError(
                 f"global column {gcol} out of range "
-                f"(target has {self.num_global_cols})")
-        return divmod(gcol, self.target.cols)
+                f"(target has {self._num_global_cols})")
+        return divmod(gcol, self._cols)
 
     def global_col(self, array: int, col: int) -> int:
         """(array, local column) -> global column index."""
-        return array * self.target.cols + col
+        return array * self._cols + col
 
     # ------------------------------------------------------------------
     # placement

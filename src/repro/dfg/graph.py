@@ -9,13 +9,21 @@ b-level of an operation node is its scheduling priority (Sec. 3.1).
 Node identifiers are small integers unique within one graph.  Every op node
 produces exactly one operand node (its result); an operand node is produced
 by at most one op node and consumed by any number of op nodes.
+
+Mutate a graph only through its methods.  Every mutator bumps the graph's
+:attr:`~DataFlowGraph.version`; the topological order and a successful
+:meth:`~DataFlowGraph.validate` are memoized against it, and the op
+histogram, edge count and input-name index are kept up to date as the
+graph changes, so the pass manager's per-pass statistics cost O(op types).
+A node object handed out by :meth:`~DataFlowGraph.op` or
+:meth:`~DataFlowGraph.operand` must be treated as read-only.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dfg.ops import OpType, check_arity
 from repro.errors import GraphError
@@ -60,13 +68,6 @@ class OpNode:
         return len(self.operands)
 
 
-@dataclass
-class _Entry:
-    operand: OperandNode | None = None
-    op: OpNode | None = None
-    consumers: list[int] = field(default_factory=list)
-
-
 class DataFlowGraph:
     """Mutable bipartite DAG of operands and bulk-bitwise operations."""
 
@@ -77,6 +78,19 @@ class DataFlowGraph:
         self._ops: dict[int, OpNode] = {}
         self._consumers: dict[int, list[int]] = {}  # operand id -> op ids
         self._outputs: dict[str, int] = {}  # output name -> operand id
+        self._input_ids: dict[str, int] = {}  # input name -> operand id
+        self._histogram: dict[OpType, int] = {}  # op type -> op count
+        self._edges = 0
+        self._version = 0
+        self._topo: list[int] = []
+        self._topo_at = -1  # version self._topo was computed at
+        self._valid_at = -1  # version of the last successful validate()
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every mutator, memo key of the
+        topological order and of :meth:`validate`."""
+        return self._version
 
     # ------------------------------------------------------------------
     # construction
@@ -88,17 +102,20 @@ class DataFlowGraph:
 
     def add_input(self, name: str) -> int:
         """Add a program input and return its operand node id."""
-        if any(o.name == name and o.kind is OperandKind.INPUT for o in self._operands.values()):
+        if name in self._input_ids:
             raise GraphError(f"duplicate input name {name!r}")
+        self._version += 1
         nid = self._new_id()
         self._operands[nid] = OperandNode(nid, OperandKind.INPUT, name=name)
         self._consumers[nid] = []
+        self._input_ids[name] = nid
         return nid
 
     def add_const(self, value: int, name: str | None = None) -> int:
         """Add a constant operand (``0`` or ``1``, broadcast over lanes)."""
         if value not in (0, 1):
             raise GraphError(f"constant must be 0 or 1, got {value!r}")
+        self._version += 1
         nid = self._new_id()
         self._operands[nid] = OperandNode(nid, OperandKind.CONST, name=name, const_value=value)
         self._consumers[nid] = []
@@ -110,6 +127,7 @@ class DataFlowGraph:
         for oid in operands:
             if oid not in self._operands:
                 raise GraphError(f"operand node {oid} does not exist")
+        self._version += 1
         op_id = self._new_id()
         res_id = self._new_id()
         self._operands[res_id] = OperandNode(res_id, OperandKind.INTERMEDIATE, producer=op_id)
@@ -118,7 +136,16 @@ class DataFlowGraph:
         self._ops[op_id] = node
         for oid in operands:
             self._consumers[oid].append(op_id)
+        self._count(op, 1)
+        self._edges += len(operands) + 1
         return res_id
+
+    def _count(self, op: OpType, delta: int) -> None:
+        count = self._histogram.get(op, 0) + delta
+        if count:
+            self._histogram[op] = count
+        else:
+            del self._histogram[op]
 
     def mark_output(self, operand_id: int, name: str) -> None:
         """Declare an operand node as a program output."""
@@ -126,6 +153,7 @@ class DataFlowGraph:
             raise GraphError(f"operand node {operand_id} does not exist")
         if name in self._outputs:
             raise GraphError(f"duplicate output name {name!r}")
+        self._version += 1
         self._outputs[name] = operand_id
 
     # ------------------------------------------------------------------
@@ -137,8 +165,8 @@ class DataFlowGraph:
         return dict(self._outputs)
 
     def inputs(self) -> list[OperandNode]:
-        """All declared input operand nodes."""
-        return [o for o in self._operands.values() if o.kind is OperandKind.INPUT]
+        """All declared input operand nodes, in declaration order."""
+        return [self._operands[oid] for oid in self._input_ids.values()]
 
     def operand(self, operand_id: int) -> OperandNode:
         """Look up an operand node by id."""
@@ -171,6 +199,11 @@ class DataFlowGraph:
     def num_ops(self) -> int:
         """Number of op nodes in the graph."""
         return len(self._ops)
+
+    @property
+    def num_edges(self) -> int:
+        """Number of edges of the bipartite graph (operand->op, op->result)."""
+        return self._edges
 
     def consumers(self, operand_id: int) -> list[int]:
         """Op node ids that read the given operand."""
@@ -206,10 +239,15 @@ class DataFlowGraph:
         for oid in new_operands:
             if oid not in self._operands:
                 raise GraphError(f"operand node {oid} does not exist")
+        self._version += 1
         for oid in node.operands:
             self._consumers[oid].remove(op_id)
         for oid in new_operands:
             self._consumers[oid].append(op_id)
+        if new_op is not node.op:
+            self._count(node.op, -1)
+            self._count(new_op, 1)
+        self._edges += len(new_operands) - len(node.operands)
         node.op = new_op
         node.operands = new_operands
 
@@ -220,11 +258,14 @@ class DataFlowGraph:
             raise GraphError(f"cannot delete op {op_id}: result still consumed")
         if node.result in self._outputs.values():
             raise GraphError(f"cannot delete op {op_id}: result is an output")
+        self._version += 1
         for oid in node.operands:
             self._consumers[oid].remove(op_id)
         del self._consumers[node.result]
         del self._operands[node.result]
         del self._ops[op_id]
+        self._count(node.op, -1)
+        self._edges -= node.arity + 1
 
     def replace_uses(self, old_operand: int, new_operand: int) -> None:
         """Redirect every consumer and output of one operand to another."""
@@ -239,6 +280,7 @@ class DataFlowGraph:
                 for oid in node.operands])
         for name, oid in list(self._outputs.items()):
             if oid == old_operand:
+                self._version += 1
                 self._outputs[name] = new_operand
 
     def delete_operand(self, operand_id: int) -> None:
@@ -250,30 +292,51 @@ class DataFlowGraph:
             raise GraphError(f"cannot delete operand {operand_id}: delete its op instead")
         if operand_id in self._outputs.values():
             raise GraphError(f"cannot delete operand {operand_id}: it is an output")
+        self._version += 1
         del self._consumers[operand_id]
         del self._operands[operand_id]
+        if node.kind is OperandKind.INPUT:
+            del self._input_ids[node.name]
 
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
     def topological_ops(self) -> list[int]:
-        """Op node ids in a producer-before-consumer order (Kahn)."""
-        indeg = {op_id: len(self.pred_ops(op_id)) for op_id in self._ops}
+        """Op node ids in a producer-before-consumer order (Kahn).
+
+        Memoized against :attr:`version`; every call returns a fresh list.
+        """
+        if self._topo_at != self._version:
+            self._topo = self._kahn()
+            self._topo_at = self._version
+        return list(self._topo)
+
+    def _kahn(self) -> list[int]:
+        operands, ops, consumers = self._operands, self._ops, self._consumers
+        indeg = {op_id: sum(1 for oid in node.operands
+                            if operands[oid].producer is not None)
+                 for op_id, node in ops.items()}
         ready = sorted(op_id for op_id, d in indeg.items() if d == 0)
         order: list[int] = []
         while ready:
             op_id = ready.pop()
             order.append(op_id)
-            for succ in self.succ_ops(op_id):
+            for succ in consumers[ops[op_id].result]:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     ready.append(succ)
-        if len(order) != len(self._ops):
+        if len(order) != len(ops):
             raise GraphError("data-flow graph contains a cycle")
         return order
 
     def validate(self) -> None:
-        """Check the bipartite-DAG invariants; raise :class:`GraphError`."""
+        """Check the bipartite-DAG invariants; raise :class:`GraphError`.
+
+        A success is memoized against :attr:`version`: revalidating an
+        unchanged graph is free.
+        """
+        if self._valid_at == self._version:
+            return
         for op_id, node in self._ops.items():
             check_arity(node.op, node.arity)
             for oid in node.operands:
@@ -293,6 +356,7 @@ class DataFlowGraph:
             if oid not in self._operands:
                 raise GraphError(f"output {name!r} refers to unknown operand {oid}")
         self.topological_ops()  # raises on cycles
+        self._valid_at = self._version
 
     def live_nodes(self) -> tuple[set[int], set[int]]:
         """Operand and op node ids reachable backwards from the outputs."""
@@ -324,14 +388,20 @@ class DataFlowGraph:
         }
         g._consumers = {oid: list(c) for oid, c in self._consumers.items()}
         g._outputs = dict(self._outputs)
+        g._input_ids = dict(self._input_ids)
+        g._histogram = dict(self._histogram)
+        g._edges = self._edges
+        # the copy has the same ids and insertion orders, so the same
+        # topological order; the (never mutated) list can be shared
+        if self._topo_at == self._version:
+            g._topo, g._topo_at = self._topo, g._version
+        if self._valid_at == self._version:
+            g._valid_at = g._version
         return g
 
     def op_histogram(self) -> dict[OpType, int]:
         """Count op nodes per operation type."""
-        hist: dict[OpType, int] = {}
-        for node in self._ops.values():
-            hist[node.op] = hist.get(node.op, 0) + 1
-        return hist
+        return dict(self._histogram)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DataFlowGraph({self.name!r}, operands={len(self._operands)}, "

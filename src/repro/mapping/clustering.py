@@ -79,6 +79,7 @@ def find_clusters(dag: DataFlowGraph, c_max: int, alpha: float = 1.0,
     order = sorted(levels, key=lambda op_id: (-levels[op_id], op_id))
     cluster_of: dict[int, Cluster] = {}
     clusters: list[Cluster] = []
+    merged_away: set[int] = set()  # ids of clusters folded into another
     next_id = 0
 
     def new_cluster() -> Cluster:
@@ -112,17 +113,16 @@ def find_clusters(dag: DataFlowGraph, c_max: int, alpha: float = 1.0,
                     merged = _union_footprint(pred_clusters, node.result, operands)
                     if merged <= c_max:
                         target_cluster = _merge_into_first(pred_clusters, cluster_of)
-                        clusters[:] = [c for c in clusters
-                                       if c is target_cluster or c not in pred_clusters[1:]]
+                        merged_away.update(c.cluster_id for c in pred_clusters[1:])
             if target_cluster is None:
                 target_cluster = _best_scoring(
-                    pred_clusters, op_id, operands, node.result,
-                    dag, levels, cluster_of, c_max, alpha, beta)
+                    pred_clusters, preds, op_id, operands, node.result,
+                    levels, cluster_of, c_max, alpha, beta)
             if target_cluster is None:
                 target_cluster = new_cluster()
         target_cluster.add(op_id, node.result, operands)
         cluster_of[op_id] = target_cluster
-    return clusters
+    return [c for c in clusters if c.cluster_id not in merged_away]
 
 
 def _union_footprint(group: list[Cluster], result: int, operands: list[int]) -> int:
@@ -148,8 +148,8 @@ def _merge_into_first(group: list[Cluster], cluster_of: dict[int, Cluster]) -> C
     return base
 
 
-def _best_scoring(pred_clusters: list[Cluster], op_id: int, operands: list[int],
-                  result: int, dag: DataFlowGraph, levels: dict[int, int],
+def _best_scoring(pred_clusters: list[Cluster], preds: list[int], op_id: int,
+                  operands: list[int], result: int, levels: dict[int, int],
                   cluster_of: dict[int, Cluster], c_max: int,
                   alpha: float, beta: float) -> Cluster | None:
     """Eq. 1 over the predecessor clusters with remaining capacity."""
@@ -161,7 +161,7 @@ def _best_scoring(pred_clusters: list[Cluster], op_id: int, operands: list[int],
         if cluster.footprint + cost > c_max:
             continue
         closeness = 0.0
-        for pred in dag.pred_ops(op_id):
+        for pred in preds:
             if cluster_of[pred] is cluster:
                 closeness += 1.0 / (levels[pred] - my_level)
         score = alpha * closeness - beta * cluster.size

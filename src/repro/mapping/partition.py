@@ -106,23 +106,35 @@ def _build_stage(dag: DataFlowGraph, schedule: list[int],
 
 def _best_cut(dag: DataFlowGraph, schedule: list[int],
               pos: dict[int, int], lo: int, hi: int) -> int:
-    """The middle-third cut point crossed by the fewest live values."""
+    """The middle-third cut point crossed by the fewest live values.
+
+    A value produced at schedule position ``i`` crosses every cut in
+    ``(i, last use]`` (every cut after ``i`` for an output), so one sweep
+    over the last-use positions counts the crossings of all cuts at once.
+    """
     output_ids = set(dag.outputs.values())
     third = max(1, (hi - lo) // 3)
     candidates = range(lo + third, hi - third + 1)
     if not candidates:
         candidates = range(lo + (hi - lo) // 2, lo + (hi - lo) // 2 + 1)
 
-    def crossing(cut: int) -> int:
-        count = 0
-        for op_id in schedule[lo:cut]:
-            result = dag.op(op_id).result
-            if (result in output_ids
-                    or any(pos[c] >= cut for c in dag.consumers(result))):
-                count += 1
-        return count
-
-    return min(candidates, key=lambda c: (crossing(c), c))
+    # delta[c - lo]: change in the crossing count from cut c - 1 to cut c
+    delta = [0] * (hi - lo + 2)
+    for i in range(lo, hi):
+        result = dag.op(schedule[i]).result
+        if result in output_ids:
+            last = hi
+        else:
+            last = min(max((pos[c] for c in dag.consumers(result)),
+                           default=i), hi)
+        if last > i:
+            delta[i + 1 - lo] += 1
+            delta[last + 1 - lo] -= 1
+    crossing, count = {}, 0
+    for cut in range(lo, candidates.stop):
+        count += delta[cut - lo]
+        crossing[cut] = count
+    return min(candidates, key=lambda c: (crossing[c], c))
 
 
 def _build_bridge(prev: Stage, stage: Stage) -> None:
@@ -185,8 +197,9 @@ def map_partitioned(dag: DataFlowGraph, target: TargetSpec,
             "outputs alone exceed the target")
     pos = {op_id: i for i, op_id in enumerate(schedule)}
     stages: list[Stage] = []
-
-    def fit(lo: int, hi: int) -> None:
+    pending = [(0, len(schedule))]  # schedule ranges still to fit, LIFO
+    while pending:
+        lo, hi = pending.pop()
         if len(stages) >= MAX_STAGES:
             raise CapacityError(
                 f"partitioning exceeded {MAX_STAGES} stages; the target is "
@@ -201,13 +214,11 @@ def map_partitioned(dag: DataFlowGraph, target: TargetSpec,
                     f"does not fit the target on its own ({exc})",
                     num_arrays=target.num_arrays) from exc
             cut = _best_cut(dag, schedule, pos, lo, hi)
-            fit(lo, cut)
-            fit(cut, hi)
-            return
+            # the left half is fitted (and staged) first
+            pending += [(cut, hi), (lo, cut)]
+            continue
         stages.append(Stage(dag=plan.dag, mapping=mapping,
                             imports=plan.imports, exports=plan.exports))
-
-    fit(0, len(schedule))
     for prev, stage in zip(stages, stages[1:]):
         _build_bridge(prev, stage)
     return stages

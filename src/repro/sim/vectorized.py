@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import random
 import sys
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -658,16 +659,24 @@ class VectorProgram:
 
     Instances are cached on the :class:`CompiledProgram` (see
     :func:`vector_program`), so the lowering cost is paid once per
-    program and amortized over every later execution and batch.
+    program and amortized over every later execution and batch.  The
+    back-reference to the program is weak, so the cache entry does not
+    keep its program alive in a reference cycle.
     """
 
     def __init__(self, program, verify_writes: bool = False) -> None:
-        self.program = program
+        self._program = weakref.ref(program)
         self.verify = verify_writes
         self.tech = program.target.technology
         self.write_retries = program.config.write_retries
         self._low = _lower(program, verify_writes)
         self._plans: dict[bool, _Plan] = {}
+
+    @property
+    def program(self):
+        """The compiled program this lowering belongs to (read live, so
+        a run sees the program's current ``fault_map``)."""
+        return self._program()
 
     def plan(self, inject: bool) -> _Plan:
         """The executable schedule, with or without fault injection."""
@@ -779,15 +788,16 @@ class VectorProgram:
                     machine.write_counts.get(cell, 0) + 1)
             return
         spares: dict[tuple[int, int], list[int]] = {}
-        if self.program.stages is None:
-            for addr in self.program.layout.spare_cells():
+        program = self.program
+        if program.stages is None:
+            for addr in program.layout.spare_cells():
                 spares.setdefault((addr.array, addr.col),
                                   []).append(addr.row)
             for rows in spares.values():
                 rows.sort()
         remap: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         stored: dict[tuple[int, int, int], np.ndarray] = {}
-        fault_map = self.program.fault_map
+        fault_map = program.fault_map
         zeros = np.zeros_like(maskw)
 
         def cell_fault(key):

@@ -11,7 +11,9 @@ multi-array programs.  Only injected-fault draw streams may differ
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +34,7 @@ from repro.sim.vectorized import (
     execute as vector_execute,
     resolve_engine,
     validate_engine,
+    vector_program,
 )
 from repro.workloads import get_workload
 from repro.workloads.synthetic import synthetic_dag
@@ -313,6 +316,32 @@ class TestExecuteMany:
         good = _inputs_for(dag, 16)
         with pytest.raises(SherlockError, match="missing"):
             program.execute_many([good, {"x0": 1}], 16)
+
+
+class TestLoweringCache:
+    def test_cached_lowering_reads_its_program(self):
+        dag = synthetic_dag(num_ops=8, num_inputs=4, seed=0, name="cached")
+        program = compile_dag(dag, TargetSpec.square(32, RERAM), cache=False)
+        lowered = vector_program(program, verify_writes=True)
+        assert vector_program(program, verify_writes=True) is lowered
+        assert lowered.program is program
+
+    def test_executed_program_is_freed_without_the_cycle_collector(self):
+        dag = synthetic_dag(num_ops=24, num_inputs=6, seed=1, name="freed")
+        gc.collect()
+        gc.disable()
+        try:
+            program = compile_dag(dag, TargetSpec.square(32, RERAM),
+                                  cache=False)
+            inputs = _inputs_for(dag, 8)
+            program.execute(inputs, 8, engine="vectorized")
+            program.execute(inputs, 8, verify_writes=True,
+                            engine="vectorized")
+            ref = weakref.ref(program)
+            del program
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestInjectionStatistics:
