@@ -33,6 +33,9 @@ python -m pytest tests/ 2>&1 | tee test_output.txt
 echo "== interpreter fault-stream golden gate =="
 python -m pytest tests/test_campaign.py -k golden -q
 
+echo "== codegen golden gate =="
+python -m pytest tests/test_codegen_golden.py -q
+
 echo "== executable-docs gate (fenced snippets in README.md + docs/API.md) =="
 python -m pytest tests/test_docsnippets.py -q
 
