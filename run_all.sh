@@ -36,6 +36,9 @@ python -m pytest tests/test_campaign.py -k golden -q
 echo "== codegen golden gate =="
 python -m pytest tests/test_codegen_golden.py -q
 
+echo "== packed-vs-interpreted differential gate =="
+python -m pytest tests/test_vectorized.py -q
+
 echo "== executable-docs gate (fenced snippets in README.md + docs/API.md) =="
 python -m pytest tests/test_docsnippets.py -q
 

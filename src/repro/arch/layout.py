@@ -62,10 +62,12 @@ class Layout:
     def split(self, gcol: int) -> tuple[int, int]:
         """Global column -> (array, local column)."""
         if not 0 <= gcol < self._num_global_cols:
-            raise MappingError(
-                f"global column {gcol} out of range "
-                f"(target has {self._num_global_cols})")
+            raise self._range_error(gcol)
         return divmod(gcol, self._cols)
+
+    def _range_error(self, gcol: int) -> MappingError:
+        return MappingError(f"global column {gcol} out of range "
+                            f"(target has {self._num_global_cols})")
 
     def global_col(self, array: int, col: int) -> int:
         """(array, local column) -> global column index."""
@@ -76,12 +78,14 @@ class Layout:
     # ------------------------------------------------------------------
     def column_fill(self, gcol: int) -> int:
         """Rows already used bottom-up in the given global column."""
-        self.split(gcol)
+        if not 0 <= gcol < self._num_global_cols:
+            raise self._range_error(gcol)
         return self._fill.get(gcol, 0)
 
     def column_top_fill(self, gcol: int) -> int:
         """Rows already used top-down in the given global column."""
-        self.split(gcol)
+        if not 0 <= gcol < self._num_global_cols:
+            raise self._range_error(gcol)
         return self._top_fill.get(gcol, 0)
 
     def column_capacity(self, gcol: int) -> int:
@@ -105,7 +109,8 @@ class Layout:
 
     def column_reusable(self, gcol: int) -> int:
         """Released (recyclable) cells available in the given column."""
-        self.split(gcol)
+        if not 0 <= gcol < self._num_global_cols:
+            raise self._range_error(gcol)
         return len(self._free_pool.get(gcol, []))
 
     def reusable_columns(self) -> list[int]:

@@ -229,9 +229,9 @@ class CompiledProgram:
         """Execute many independent input sets through one compiled program.
 
         The batch API of the compile-once/execute-many serving story: the
-        program is lowered once (cached on the instance) and the input
-        sets stream through the vectorized op-table in memory-bounded
-        chunks.  ``engine="interpreted"`` runs the reference executor per
+        program is lowered once (cached on the instance until its fault
+        map changes) and the input sets stream through the vectorized
+        op-table in memory-bounded chunks.  ``engine="interpreted"`` runs the reference executor per
         set instead (slow — for cross-checking).  Returns one output
         dictionary per input set, in order.
         """

@@ -70,6 +70,13 @@ class FaultMap:
 
     def __init__(self, faults: dict[_Cell, CellFault] | None = None) -> None:
         self._faults: dict[_Cell, CellFault] = dict(faults or {})
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every change to the map's content,
+        so a lowering baked from the map can tell it is still current."""
+        return self._version
 
     # ------------------------------------------------------------------
     # queries
@@ -123,10 +130,12 @@ class FaultMap:
         if not isinstance(fault, CellFault):
             raise DeviceError(f"not a CellFault: {fault!r}")
         self._faults[(array, row, col)] = fault
+        self._version += 1
 
     def mark_dead(self, array: int, row: int, col: int) -> None:
         """Record a cell as worn out / unprogrammable."""
         self._faults[(array, row, col)] = CellFault.DEAD
+        self._version += 1
 
     def clear(self, array: int, row: int, col: int) -> bool:
         """Forget one cell's fault; ``True`` if the cell was recorded.
@@ -137,7 +146,10 @@ class FaultMap:
         never be cleared: a controller only un-marks a cell after
         re-qualifying it.
         """
-        return self._faults.pop((array, row, col), None) is not None
+        if self._faults.pop((array, row, col), None) is None:
+            return False
+        self._version += 1
+        return True
 
     def merge(self, other: "FaultMap") -> int:
         """Fold another map's faults into this one; returns cells added.
@@ -150,6 +162,7 @@ class FaultMap:
             if cell not in self._faults:
                 self._faults[cell] = fault
                 added += 1
+        self._version += added
         return added
 
     def copy(self) -> "FaultMap":

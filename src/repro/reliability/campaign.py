@@ -495,13 +495,20 @@ def _campaign_identity(program, trials: int, seed: int, policy: str,
             "inputs": repr(sorted(inputs.items())) if inputs else None}
 
 
-def _checkpointed_outcome(program, trials, seed, policy, lanes, kwargs,
-                          inputs, workers, shard_timeout_s, engine,
-                          journal: CheckpointJournal) -> ShardOutcome:
-    """The resumable campaign body: journaled blocks skip, gaps re-run.
+def _campaign_outcome(program, trials, seed, policy, lanes, kwargs,
+                      inputs, workers, shard_timeout_s, engine,
+                      journal: CheckpointJournal | None) -> ShardOutcome:
+    """Run every trial block and merge the counters in block order.
 
-    Checkpointed campaigns always run over the canonical block partition
-    ``shard_ranges(trials, workers)`` — even serially — so that an
+    Blocks fan out to the process pool when ``workers > 1``; a block the
+    pool did not deliver re-runs in-process under the bounded retry
+    policy.  A plain run is one block serially, or
+    ``shard_ranges(trials, workers)`` in parallel (one serial block again
+    when the pool is unusable).
+
+    With a ``journal``, every finished block is appended to it and
+    journaled blocks are skipped, and the canonical partition
+    ``shard_ranges(trials, workers)`` is used even serially — so an
     interrupted-and-resumed run merges its counters in exactly the block
     order an uninterrupted run uses (float accumulators included).  A
     journal whose blocks do not align with the canonical partition
@@ -511,21 +518,25 @@ def _checkpointed_outcome(program, trials, seed, policy, lanes, kwargs,
     """
     from repro.reliability.checkpoint import remaining_ranges
 
-    done = {(record["first"], record["count"]): _record_to_outcome(record)
-            for record in journal.records}
-    canonical = shard_ranges(trials, workers)
-    if set(done) <= set(canonical):
-        blocks = canonical
+    parallel = workers > 1 and trials > 1
+    done: dict[tuple[int, int], ShardOutcome] = {}
+    if journal is None:
+        blocks = shard_ranges(trials, workers) if parallel else [(0, trials)]
     else:
-        blocks = sorted(set(done)
-                        | set(remaining_ranges(trials, sorted(done))))
+        done = {(record["first"], record["count"]):
+                _record_to_outcome(record) for record in journal.records}
+        blocks = shard_ranges(trials, workers)
+        if not set(done) <= set(blocks):
+            blocks = sorted(set(done)
+                            | set(remaining_ranges(trials, sorted(done))))
     pending = [block for block in blocks if block not in done]
-    fresh: dict[tuple[int, int], ShardOutcome] = {}
     slots: list[ShardOutcome | None] | None = None
-    if pending and workers > 1 and trials > 1:
+    if pending and parallel:
         slots = _parallel_outcomes(program, pending, seed, policy, lanes,
                                    kwargs, inputs, workers,
                                    shard_timeout_s, engine)
+        if slots is None and journal is None:
+            blocks = pending = [(0, trials)]
     for index, (first, count) in enumerate(pending):
         outcome = slots[index] if slots is not None else None
         if outcome is None:
@@ -535,11 +546,12 @@ def _checkpointed_outcome(program, trials, seed, policy, lanes, kwargs,
                     inputs, engine),
                 policy=_SHARD_RETRY,
                 label=f"campaign shard [{first}, {first + count})")
-        fresh[(first, count)] = outcome
-        journal.append(_outcome_to_record(first, count, outcome))
+        done[(first, count)] = outcome
+        if journal is not None:
+            journal.append(_outcome_to_record(first, count, outcome))
     aggregate = ShardOutcome()
     for block in blocks:
-        aggregate.merge(done.get(block) or fresh[block])
+        aggregate.merge(done[block])
     return aggregate
 
 
@@ -596,47 +608,15 @@ def run_campaign(program, trials: int = 1000, seed: int = 0,
     kwargs = dict(policy_kwargs or {})
     # fail fast on a bad name / kwargs or a program the policy cannot run
     get_policy(policy, **kwargs).check_program(program)
+    journal = None
     if checkpoint is not None:
         journal = CheckpointJournal(
             checkpoint, "campaign",
             _campaign_identity(program, trials, seed, policy, lanes,
                                engine, kwargs, inputs))
-        aggregate = _checkpointed_outcome(
-            program, trials, seed, policy, lanes, kwargs, inputs, workers,
-            shard_timeout_s, engine, journal)
-        metrics = program.metrics
-        return CampaignResult(
-            program_name=program.source_dag.name,
-            policy=policy, trials=trials, lanes=lanes, seed=seed,
-            decision_failures=aggregate.decision_failures,
-            output_failures=aggregate.output_failures,
-            analytic_p_app=analytic_failure_probability(program, lanes),
-            injected_faults=aggregate.injected_faults,
-            stats=aggregate.stats,
-            base_latency_cycles=metrics.latency_cycles,
-            base_energy_pj=metrics.energy_pj)
-    aggregate = ShardOutcome()
-    if workers == 1 or trials == 1:
-        aggregate = run_trial_block(program, 0, trials, seed, policy, lanes,
-                                    kwargs, inputs, engine)
-    else:
-        ranges = shard_ranges(trials, workers)
-        outcomes = _parallel_outcomes(program, ranges, seed, policy, lanes,
-                                      kwargs, inputs, workers,
-                                      shard_timeout_s, engine)
-        if outcomes is None:
-            aggregate = run_trial_block(program, 0, trials, seed, policy,
-                                        lanes, kwargs, inputs, engine)
-        else:
-            for (first, count), outcome in zip(ranges, outcomes):
-                if outcome is None:  # pool shard failed: recover in-process
-                    outcome = retry_call(
-                        lambda first=first, count=count: run_trial_block(
-                            program, first, count, seed, policy, lanes,
-                            kwargs, inputs, engine),
-                        policy=_SHARD_RETRY,
-                        label=f"campaign shard [{first}, {first + count})")
-                aggregate.merge(outcome)
+    aggregate = _campaign_outcome(program, trials, seed, policy, lanes,
+                                  kwargs, inputs, workers, shard_timeout_s,
+                                  engine, journal)
     metrics = program.metrics
     return CampaignResult(
         program_name=program.source_dag.name,

@@ -43,6 +43,7 @@ from repro.sim.metrics import (
     rowbuf_not_cost,
     write_cost,
 )
+from repro.util.vote import majority as _majority
 
 __all__ = [
     "POLICIES",
@@ -213,35 +214,6 @@ class _SensePolicy(RecoveryPolicy):
                  values: list[int], result: int, resense) -> int:
         """Decide the row-buffer value for one sensed column."""
         raise NotImplementedError
-
-
-def _majority(senses: list[int], mask: int) -> int:
-    """Per-lane majority of an odd number of lane bitmasks."""
-    if len(senses) == 3:
-        a, b, c = senses
-        return (a & b) | (a & c) | (b & c)
-    # bit-sliced ripple-carry counter: planes[i] = lanes whose count has
-    # bit i set; then a lane-parallel compare against the majority threshold
-    planes: list[int] = []
-    for s in senses:
-        carry = s
-        for i in range(len(planes)):
-            planes[i], carry = planes[i] ^ carry, planes[i] & carry
-            if not carry:
-                break
-        if carry:
-            planes.append(carry)
-    need = len(senses) // 2 + 1
-    greater = 0
-    equal = mask
-    for i in reversed(range(len(planes))):
-        need_bit = (need >> i) & 1
-        if need_bit:
-            equal &= planes[i]
-        else:
-            greater |= equal & planes[i]
-            equal &= ~planes[i] & mask
-    return greater | equal
 
 
 @register_policy

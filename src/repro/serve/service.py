@@ -94,6 +94,7 @@ from repro.serve.scrub import PatrolScrubber, ScrubPolicy, ScrubReport
 from repro.sim.cpu import CpuSpec, dag_events, run_model
 from repro.sim.executor import ArrayMachine
 from repro.util.retry import RetryPolicy, retry_call
+from repro.util.vote import majority
 
 __all__ = [
     "CompileService",
@@ -242,36 +243,19 @@ def _unpack(packed: dict[str, int], count: int,
              for name, value in packed.items()} for index in range(count)]
 
 
-def _majority_value(values: list[int], lanes: int,
-                    tiebreak: int | None = None) -> int:
-    """Per-lane majority of lane-bitmask ballots.
-
-    A lane bit is set in the result when a strict majority of ``values``
-    set it.  With an even panel, bits split exactly in half are resolved
-    by ``tiebreak`` (the CPU referee's ballot) — the panel construction
-    guarantees a referee is present whenever a tie is possible.
-    """
-    n = len(values)
-    need = n // 2 + 1
-    out = 0
-    for bit in range(lanes):
-        mask = 1 << bit
-        ones = sum(1 for value in values if value & mask)
-        if ones >= need:
-            out |= mask
-        elif tiebreak is not None and 2 * ones == n and tiebreak & mask:
-            out |= mask
-    return out
-
-
 def _majority_outputs(ballots: list[dict[str, int]], lanes: int,
-                      tiebreak: dict[str, int] | None = None
-                      ) -> dict[str, int]:
-    """Majority-vote every output of a ballot panel (see above)."""
-    return {name: _majority_value(
-        [ballot[name] for ballot in ballots], lanes,
-        None if tiebreak is None else tiebreak[name])
-        for name in ballots[0]}
+                      referee: dict[str, int] | None) -> dict[str, int]:
+    """Per-lane majority of every output over a ballot panel.
+
+    An even panel always holds the CPU ``referee`` (the panel is built
+    that way); casting its ballot once more breaks every exact tie the
+    referee's way.
+    """
+    if len(ballots) % 2 == 0:
+        ballots = ballots + [referee]
+    mask = (1 << lanes) - 1
+    return {name: majority([ballot[name] for ballot in ballots], mask)
+            for name in ballots[0]}
 
 
 def _percentile(values: list[float], q: float) -> float:

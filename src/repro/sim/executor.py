@@ -412,7 +412,7 @@ class ArrayMachine:
                     raise _empty_write(array, col)
         # plain cells are stored inline; anything that may verify, remap or
         # bounce off a fault goes through the full commit ladder
-        commit = (self._commit if self.verify_writes or self._forcing()
+        commit = (self.commit if self.verify_writes or self._forcing()
                   else None)
         cells, counts = self._cells, self.write_counts
         for col in cols:
@@ -462,7 +462,7 @@ class ArrayMachine:
                 return key
         return None
 
-    def _commit(self, array: int, row: int, col: int, value: int) -> None:
+    def commit(self, array: int, row: int, col: int, value: int) -> None:
         """Program one cell, with verify-after-write escalation when enabled.
 
         The ladder: write → read back → retry up to ``write_retries`` →
@@ -470,7 +470,9 @@ class ArrayMachine:
         of the same column → raise :class:`HardFaultError` when the spare
         pool is dry.  A stuck cell whose forced value happens to equal the
         written value verifies clean — the data is correct, which is all
-        verify-after-write can (or needs to) observe.
+        verify-after-write can (or needs to) observe.  The vectorized
+        engine sends every write that may escalate through this method
+        too, so both engines share one ladder.
         """
         logical = (array, row, col)
         attempts = 0

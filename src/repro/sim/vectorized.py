@@ -16,12 +16,16 @@ staged boundary handling, output extraction — tracking cells, row
 buffers and liveness per array.  Every static error the interpreter
 would raise (uninitialized reads, empty row-buffer columns, strict-shift
 violations, address bounds) is raised during lowering with the identical
-message.  Stuck-at cells from the program's :class:`FaultMap` become
+message.  Stuck-at cells of the program's :class:`FaultMap` become
 forced constants, so hard-fault forcing costs nothing at run time.
 
-The resulting table is *lane-agnostic* and cached per program instance:
-the same lowering serves any lane count and any batch size.  Two
-execution plans are derived from it on demand:
+The resulting table is *lane-agnostic*: the same lowering serves any
+lane count and any batch size.  :func:`vector_program` caches one
+lowering per verify flag on the program and keys it by the content of
+the program's fault map (the map object and its mutation
+:attr:`~repro.devices.FaultMap.version`), so an in-place map edit or a
+replaced map re-lowers and the packed engine never runs a stale map.
+Two execution plans are derived from a lowering on demand:
 
 * the **deterministic plan** (no fault injection) aliases away plain
   single-row copies entirely and executes only the real column ops —
@@ -36,10 +40,11 @@ execution plans are derived from it on demand:
 
 Verify-after-write is a second lowering variant: reads-after-write
 return the written value through the dataflow (correct whether the cell
-verified clean or was remapped to a spare), and a runtime write pass
-replays the interpreter's escalation ladder — retry, declare dead,
-remap to a same-column spare, :class:`HardFaultError` when the pool is
-dry — with bit-identical counters on deterministic runs.
+verified clean or was remapped to a spare).  Writes that cannot
+escalate are bulk-counted; the rest run through the interpreter's own
+ladder (:meth:`ArrayMachine.commit` — retry, declare dead, remap to a
+same-column spare, :class:`HardFaultError` when the pool is dry), so
+both engines share one set of fault semantics.
 
 :func:`execute_many` streams thousands of independent input sets
 through one lowered program in memory-bounded chunks — the batch half
@@ -50,14 +55,14 @@ from __future__ import annotations
 
 import random
 import sys
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.devices.faultmap import CellFault, FaultMap
 from repro.dfg.ops import OpType
-from repro.errors import HardFaultError, SherlockError, SimulationError
+from repro.errors import SherlockError, SimulationError
+from repro.sim.executor import ArrayMachine
 from repro.sim.metrics import cached_p_df
 
 __all__ = [
@@ -208,11 +213,10 @@ class _Lowerer:
     """
 
     def __init__(self, target, fault_map: FaultMap | None,
-                 verify: bool, has_spares: bool = False) -> None:
+                 verify: bool) -> None:
         self.target = target
         self.fault_map = fault_map
         self.verify = verify
-        self.has_spares = has_spares
         self.kinds: list[int] = []
         self.ops: list[OpType | None] = []
         self.ks: list[int] = []
@@ -224,7 +228,6 @@ class _Lowerer:
         self.live: dict[int, set[int]] = {}
         #: programmed cells in order (the verify write pass replays these)
         self.writes: list[_WriteEntry] = []
-        self.written: set[tuple[int, int, int]] = set()
         #: per-preload sets of global input names that must be provided
         self.input_checks: list[frozenset[str]] = []
         #: staged passthrough outputs: (output name, input name)
@@ -288,32 +291,17 @@ class _Lowerer:
         if fault is None:
             self.cells[key] = vid
         elif self.verify:
-            if key in self.written and self.has_spares:
-                # a runtime remap may have redirected the verified write
-                # to a healthy spare, in which case this poke lands on
-                # the spare and sticks — the static lowering cannot know
-                raise SimulationError(
-                    "vectorized verify-after-write cannot lower a poke to "
-                    f"faulty cell (array={key[0]}, row={key[1]}, "
-                    f"col={key[2]}) after a verified write to it; use the "
-                    "interpreted engine")
-            # the poke bounces: later reads sense the forced value.  With
-            # no spare pool a prior verified write to this faulty cell
-            # raises HardFaultError at runtime before the poke executes,
-            # so the bounce lowering is never observed in that case.
+            # the poke bounces: later reads sense the forced value.  A
+            # flat program pokes only before its first write, and a staged
+            # one has no spares, so no remap can redirect a poke
             self.cells[key] = self.const_vid(fault is CellFault.STUCK1)
         # plain mode: the poke bounces and _load's fault check covers reads
 
     def store(self, array: int, row: int, col: int, vid: int) -> None:
         key = (array, row, col)
-        if self.verify:
+        self.writes.append(_WriteEntry(key, vid))
+        if self.verify or self._fault(key) is None:
             self.cells[key] = vid
-            self.written.add(key)
-            self.writes.append(_WriteEntry(key, vid))
-        else:
-            self.writes.append(_WriteEntry(key, vid))
-            if self._fault(key) is None:
-                self.cells[key] = vid
 
     # -- instructions --------------------------------------------------
     def run(self, instructions) -> None:
@@ -442,13 +430,11 @@ class _Lowerer:
         return results
 
 
-def _lower(program, verify: bool) -> _Lowerer:
+def _lower(program, fault_map: FaultMap | None, verify: bool) -> _Lowerer:
     """Lower a compiled program (flat or staged) into an SSA value table."""
     from repro.dfg.graph import OperandKind
 
-    has_spares = (verify and program.stages is None
-                  and any(True for _ in program.layout.spare_cells()))
-    low = _Lowerer(program.target, program.fault_map, verify, has_spares)
+    low = _Lowerer(program.target, fault_map, verify)
     if program.stages is None:
         dag = program.dag
         names = frozenset(o.name for o in dag.inputs())
@@ -520,8 +506,10 @@ class _Plan:
     writes: list[tuple[tuple[int, int, int], int]]  # (logical cell, slot)
     n_positions: int  # total flip positions (injecting plans)
     p_vector: np.ndarray | None  # (n_positions,) per-position P_DF
-    #: write-pass indices whose logical cell is faulty in the program map
-    faulty_writes: list[int] = field(default_factory=list)
+    #: the writes whose logical cell is faulty in the lowered map, and
+    #: the rest (the verify pass sends only the former up the ladder)
+    faulty_writes: list[tuple[tuple[int, int, int], int]]
+    clean_writes: list[tuple[tuple[int, int, int], int]]
 
 
 def _build_plan(low: _Lowerer, tech, inject: bool) -> _Plan:
@@ -589,9 +577,12 @@ def _build_plan(low: _Lowerer, tech, inject: bool) -> _Plan:
     writes = [(entry.logical, slots[resolve[entry.vid]])
               for entry in low.writes]
     faulty = []
-    if low.fault_map is not None:
-        faulty = [i for i, (cell, _) in enumerate(writes)
-                  if low.fault_map.fault_at(*cell) is not None]
+    clean = writes
+    if low.fault_map:
+        fault_at = low.fault_map.fault_at
+        faulty = [w for w in writes if fault_at(*w[0]) is not None]
+        if faulty:
+            clean = [w for w in writes if fault_at(*w[0]) is None]
     return _Plan(
         n_slots=len(slots),
         inputs={name: slots[vid] for name, vid in low.input_ids.items()},
@@ -603,7 +594,8 @@ def _build_plan(low: _Lowerer, tech, inject: bool) -> _Plan:
         writes=writes,
         n_positions=pos,
         p_vector=p_vector,
-        faulty_writes=faulty)
+        faulty_writes=faulty,
+        clean_writes=clean)
 
 
 # ----------------------------------------------------------------------
@@ -657,26 +649,28 @@ def _scalar_rng_of(fault_rng) -> random.Random:
 class VectorProgram:
     """A compiled program lowered to the vectorized op-table, ready to run.
 
-    Instances are cached on the :class:`CompiledProgram` (see
-    :func:`vector_program`), so the lowering cost is paid once per
-    program and amortized over every later execution and batch.  The
-    back-reference to the program is weak, so the cache entry does not
-    keep its program alive in a reference cycle.
+    The lowering is a function of the program's instructions, layout,
+    verify flag and the content of its fault map when lowered (a private
+    copy of that map drives the write ladder too); it keeps no reference
+    to the program.  :func:`vector_program` caches one per verify flag on
+    the program, so the lowering cost is paid once per map content and
+    amortized over every later execution and batch.
     """
 
     def __init__(self, program, verify_writes: bool = False) -> None:
-        self._program = weakref.ref(program)
         self.verify = verify_writes
+        self.target = program.target
         self.tech = program.target.technology
         self.write_retries = program.config.write_retries
-        self._low = _lower(program, verify_writes)
+        self.fault_map = (program.fault_map.copy()
+                          if program.fault_map is not None else None)
+        #: the remap spares of :meth:`CompiledProgram.machine` (staged
+        #: programs get none)
+        self.spare_pool = (program.spare_pool
+                           if verify_writes and program.stages is None
+                           else None)
+        self._low = _lower(program, self.fault_map, verify_writes)
         self._plans: dict[bool, _Plan] = {}
-
-    @property
-    def program(self):
-        """The compiled program this lowering belongs to (read live, so
-        a run sees the program's current ``fault_map``)."""
-        return self._program()
 
     def plan(self, inject: bool) -> _Plan:
         """The executable schedule, with or without fault injection."""
@@ -765,126 +759,71 @@ class VectorProgram:
             values[step.dst] = result
 
         if self.verify:
-            self._run_writes(plan, values, maskw, machine, scalar_rng)
+            self._run_writes(plan, values, lanes, machine, scalar_rng)
         else:
-            for cell, _ in plan.writes:
-                machine.write_counts[cell] = (
-                    machine.write_counts.get(cell, 0) + 1)
+            _count_writes(machine, plan.writes)
         return {name: values[slot] for name, slot in plan.outputs.items()}
 
     # ------------------------------------------------------------------
-    def _run_writes(self, plan: _Plan, values: np.ndarray,
-                    maskw: np.ndarray, machine: VectorMachine,
+    def _run_writes(self, plan: _Plan, values: np.ndarray, lanes: int,
+                    machine: VectorMachine,
                     scalar_rng: random.Random | None) -> None:
-        """Replay the verify-after-write escalation ladder (batch of 1)."""
-        p_wf = self.tech.write_failure_probability
-        inject_wf = scalar_rng is not None and p_wf > 0.0
-        if not inject_wf and not plan.faulty_writes:
-            # healthy cells, no transient injection: every write verifies
-            # clean on the first read-back
-            machine.writes_verified += len(plan.writes)
-            for cell, _ in plan.writes:
-                machine.write_counts[cell] = (
-                    machine.write_counts.get(cell, 0) + 1)
+        """Verify every write of a batch-of-1 run, in program order.
+
+        Without transient write failures only a faulty target can
+        escalate (a remap target is a healthy spare), so every other write
+        verifies clean on its first read-back and is bulk-counted.  The
+        writes that may escalate run through the interpreter's ladder.
+        """
+        inject = (scalar_rng is not None
+                  and self.tech.write_failure_probability > 0.0)
+        if not inject:
+            machine.writes_verified += len(plan.clean_writes)
+            _count_writes(machine, plan.clean_writes)
+        ladder_writes = plan.writes if inject else plan.faulty_writes
+        if not ladder_writes:
             return
-        spares: dict[tuple[int, int], list[int]] = {}
-        program = self.program
-        if program.stages is None:
-            for addr in program.layout.spare_cells():
-                spares.setdefault((addr.array, addr.col),
-                                  []).append(addr.row)
-            for rows in spares.values():
-                rows.sort()
-        remap: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-        stored: dict[tuple[int, int, int], np.ndarray] = {}
-        fault_map = program.fault_map
-        zeros = np.zeros_like(maskw)
+        ladder = ArrayMachine(self.target, lanes,
+                              scalar_rng if inject else None,
+                              fault_map=self.fault_map, verify_writes=True,
+                              write_retries=self.write_retries,
+                              spare_pool=self.spare_pool)
+        ladder.write_counts = machine.write_counts
+        for (array, row, col), slot in ladder_writes:
+            ladder.commit(array, row, col,
+                          unpack_values(values[slot], lanes)[0])
+        machine.writes_verified += ladder.writes_verified
+        machine.write_retries_used += ladder.write_retries_used
+        machine.write_failures_injected += ladder.write_failures_injected
+        machine.discovered_faults.merge(ladder.discovered_faults)
+        machine.remaps.extend(ladder.remaps)
 
-        def cell_fault(key):
-            if fault_map is not None:
-                fault = fault_map.fault_at(*key)
-                if fault is not None:
-                    return fault
-            return machine.discovered_faults.fault_at(*key)
 
-        if inject_wf:
-            slow = range(len(plan.writes))
-        else:
-            # without transient injection only faulty targets can escalate;
-            # a remapped target is a healthy spare, so every other entry
-            # verifies clean on its first read-back and bulk-counts
-            faulty = set(plan.faulty_writes)
-            machine.writes_verified += len(plan.writes) - len(faulty)
-            for i, (cell, _) in enumerate(plan.writes):
-                if i not in faulty:
-                    machine.write_counts[cell] = (
-                        machine.write_counts.get(cell, 0) + 1)
-            slow = plan.faulty_writes
-        for index in slow:
-            logical, slot = plan.writes[index]
-            value = values[slot, 0]
-            attempts = 0
-            total_attempts = 0
-            spares_tried = 0
-            while True:
-                key = remap.get(logical, logical)
-                store_value = value
-                if inject_wf and scalar_rng.random() < p_wf:
-                    store_value = value ^ maskw
-                    machine.write_failures_injected += 1
-                fault = cell_fault(key)
-                if fault is None:
-                    stored[key] = store_value
-                machine.write_counts[key] = (
-                    machine.write_counts.get(key, 0) + 1)
-                attempts += 1
-                total_attempts += 1
-                machine.writes_verified += 1
-                if fault is not None:
-                    readback = maskw if fault is CellFault.STUCK1 else zeros
-                else:
-                    readback = stored.get(key, zeros)
-                if np.array_equal(readback, value):
-                    break
-                if attempts <= self.write_retries:
-                    machine.write_retries_used += 1
-                    continue
-                machine.discovered_faults.mark_dead(*key)
-                spare = None
-                rows = spares.get((logical[0], logical[2]), [])
-                while rows:
-                    candidate = (logical[0], rows.pop(0), logical[2])
-                    if cell_fault(candidate) is None:
-                        spare = candidate
-                        break
-                if spare is None:
-                    raise HardFaultError(
-                        f"write to cell (array={logical[0]}, "
-                        f"row={logical[1]}, col={logical[2]}) failed after "
-                        f"{total_attempts} attempts and {spares_tried} "
-                        f"spare cells; no healthy spare left in column "
-                        f"{logical[2]} of array {logical[0]}",
-                        cell=logical, physical_cell=key,
-                        attempts=total_attempts, spares_tried=spares_tried)
-                remap[logical] = spare
-                machine.remaps.append((logical, spare))
-                spares_tried += 1
-                attempts = 0
+def _count_writes(machine: VectorMachine, writes) -> None:
+    """Count one write per ``(cell, slot)`` entry that cannot escalate."""
+    counts = machine.write_counts
+    for cell, _ in writes:
+        counts[cell] = counts.get(cell, 0) + 1
 
 
 def vector_program(program, verify_writes: bool = False) -> VectorProgram:
     """The (cached) vectorized lowering of a compiled program.
 
-    The lowering is cached on the program instance, keyed by the verify
-    flag — repeated executions, batches and campaign shards all reuse
-    one op-table.
+    One lowering per verify flag is cached on the program instance and
+    reused — by repeated executions, batches and campaign shards — while
+    the program's ``fault_map`` is the same object at the same
+    :attr:`~repro.devices.FaultMap.version`.  Replacing the map or editing
+    it in place lowers afresh, so a run always bakes the current map.
     """
+    fault_map = program.fault_map
+    version = None if fault_map is None else fault_map.version
     cache = program.__dict__.setdefault("_vector_cache", {})
     cached = cache.get(verify_writes)
-    if cached is None:
-        cached = VectorProgram(program, verify_writes)
-        cache[verify_writes] = cached
-    return cached
+    if (cached is None or cached[0] is not fault_map
+            or cached[1] != version):
+        cached = cache[verify_writes] = (
+            fault_map, version, VectorProgram(program, verify_writes))
+    return cached[2]
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ used by the serve worker pool (:mod:`repro.serve.service`) and the
 parallel campaign shard recovery (:mod:`repro.reliability.campaign`);
 :mod:`repro.util.chaos` is the deterministic chaos-injection harness the
 robustness acceptance tests and the ``run_all.sh`` chaos gate drive the
-service with.
+service with; :mod:`repro.util.vote` is the bit-sliced majority kernel
+the ``reread-vote`` recovery policy and serve's voted requests share.
 """
 
 from repro.util.chaos import (

@@ -75,6 +75,23 @@ class TestFaultMapBasics:
         clone.mark_dead(0, 1, 1)
         assert len(fm) == 1 and len(clone) == 2
 
+    def test_version_tracks_content_changes(self):
+        fm = FaultMap()
+        seen = [fm.version]
+        fm.set_fault(0, 0, 0, CellFault.STUCK1)
+        seen.append(fm.version)
+        fm.mark_dead(0, 1, 1)
+        seen.append(fm.version)
+        assert fm.merge(FaultMap({(0, 2, 2): CellFault.STUCK0})) == 1
+        seen.append(fm.version)
+        assert fm.clear(0, 0, 0)
+        seen.append(fm.version)
+        assert len(set(seen)) == len(seen)
+        # calls that change nothing keep the version
+        assert fm.merge(fm.copy()) == 0
+        assert not fm.clear(0, 0, 0)
+        assert fm.version == seen[-1]
+
 
 class TestFaultMapDerivation:
     def test_from_wear_thresholds(self):
@@ -262,7 +279,7 @@ class TestVerifyAfterWrite:
         for row in range(target.rows):
             for col in range(target.cols):
                 value = rng.getrandbits(8)
-                m._commit(0, row, col, value)
+                m.commit(0, row, col, value)
                 wrote[(row, col)] = value
         assert m.write_failures_injected > 0
         for (row, col), value in wrote.items():
@@ -279,7 +296,7 @@ class TestVerifyAfterWrite:
         m = ArrayMachine(target, lanes=8, fault_map=fm, verify_writes=True,
                          write_retries=1,
                          spare_pool=[CellAddr(0, 9, 3)])
-        m._commit(0, 2, 3, 0b1011)
+        m.commit(0, 2, 3, 0b1011)
         assert m.remaps == [((0, 2, 3), (0, 9, 3))]
         # later accesses are transparently redirected
         assert m.peek(CellAddr(0, 2, 3)) == 0b1011
@@ -292,7 +309,7 @@ class TestVerifyAfterWrite:
         m = ArrayMachine(target, lanes=8, fault_map=fm, verify_writes=True,
                          write_retries=2, spare_pool=[])
         with pytest.raises(HardFaultError) as excinfo:
-            m._commit(0, 2, 3, 0b0110)
+            m.commit(0, 2, 3, 0b0110)
         message = str(excinfo.value)
         assert "array=0" in message and "col=3" in message
 
@@ -308,7 +325,7 @@ class TestVerifyAfterWrite:
         m = ArrayMachine(target, lanes=8, fault_rng=random.Random(9),
                          verify_writes=False)
         for row in range(8):
-            m._commit(0, row, 0, 0b1010)
+            m.commit(0, row, 0, 0b1010)
         assert m.write_failures_injected == 0
         for row in range(8):
             assert m.peek(CellAddr(0, row, 0)) == 0b1010

@@ -70,6 +70,27 @@ class TestMajority:
                     expected |= 1 << lane
             assert _majority(senses, mask) == expected
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_sparse_senses(self, n):
+        """Lanes no sense sets must vote 0, whatever planes the count fills."""
+        assert _majority([0] * n, 1) == 0
+        assert _majority([0] * n, 0xFF) == 0
+        assert _majority([0b0100] + [0] * (n - 1), 0xF) == 0
+        assert _majority([0b0100] * (n // 2 + 1) + [0] * (n // 2),
+                         0xF) == 0b0100
+
+    def test_five_votes_fault_free_match_reference(self):
+        target = TargetSpec.square(32, RERAM)
+        dag = synthetic_dag(num_ops=24, num_inputs=6, seed=5, name="vote5")
+        program = compile_dag(dag, target, cache=False)
+        for seed in range(5):
+            rng = random.Random(seed)
+            inputs = {o.name: rng.getrandbits(8) & rng.getrandbits(8)
+                      for o in dag.inputs()}
+            outcome = execute_with_recovery(program, inputs, 8,
+                                            policy=RereadVote(votes=5))
+            assert outcome.outputs == evaluate(dag, inputs, 8)
+
 
 class TestRegistry:
     def test_all_policies_registered(self):

@@ -36,6 +36,7 @@ from repro.sim.vectorized import (
     validate_engine,
     vector_program,
 )
+from repro.util import write_victims
 from repro.workloads import get_workload
 from repro.workloads.synthetic import synthetic_dag
 
@@ -324,7 +325,12 @@ class TestLoweringCache:
         program = compile_dag(dag, TargetSpec.square(32, RERAM), cache=False)
         lowered = vector_program(program, verify_writes=True)
         assert vector_program(program, verify_writes=True) is lowered
-        assert lowered.program is program
+        program.fault_map = FaultMap()
+        mapped = vector_program(program, verify_writes=True)
+        assert mapped is not lowered
+        assert vector_program(program, verify_writes=True) is mapped
+        program.fault_map.mark_dead(0, 31, 31)
+        assert vector_program(program, verify_writes=True) is not mapped
 
     def test_executed_program_is_freed_without_the_cycle_collector(self):
         dag = synthetic_dag(num_ops=24, num_inputs=6, seed=1, name="freed")
@@ -342,6 +348,81 @@ class TestLoweringCache:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _verified_vectorized(program, inputs, lanes):
+    """Vectorized verify-after-write run exposing the machine counters."""
+    vmachine = VectorMachine(lanes)
+    outputs = vector_execute(program, inputs, lanes=lanes,
+                             verify_writes=True, machine=vmachine)
+    return outputs, vmachine
+
+
+def _run_both_verified(program, inputs, lanes):
+    """Both engines' verified runs: counters, or the hard fault raised."""
+    runs = []
+    for run in (_verified_interpreted, _verified_vectorized):
+        try:
+            outputs, machine = run(program, inputs, lanes)
+        except HardFaultError as error:
+            runs.append(("hard fault", str(error), error.attempts,
+                         error.spares_tried))
+        else:
+            runs.append((outputs, machine.writes_verified,
+                         machine.write_retries_used, machine.remaps,
+                         machine.discovered_faults.cells(),
+                         machine.write_counts))
+    return runs
+
+
+class TestFaultMapEdits:
+    """The packed engine runs the map the program holds *now*: an edit
+    after a packed run, or a swap between maps, reaches both engines."""
+
+    def test_stuck_at_added_after_a_packed_run(self):
+        dag = synthetic_dag(num_ops=20, num_inputs=6, seed=7, name="edit")
+        target = TargetSpec.square(64, STT_MRAM)
+        program = SherlockCompiler(target, CompilerConfig(),
+                                   fault_map=FaultMap(),
+                                   cache=False).compile(dag)
+        inputs = _inputs_for(dag, 16, seed=7)
+        clean = evaluate(dag, inputs, 16)
+        assert _differential(program, inputs, 16) == clean
+        name = next(n for n in sorted(clean) if clean[n] != 0xFFFF)
+        addr = program.layout.primary(program.dag.outputs[name])
+        program.fault_map.set_fault(addr.array, addr.row, addr.col,
+                                    CellFault.STUCK1)
+        stuck = _differential(program, inputs, 16)
+        assert stuck[name] == 0xFFFF != clean[name]
+        verified = {engine: program.execute(inputs, 16, verify_writes=True,
+                                            engine=engine)
+                    for engine in ENGINES}
+        assert verified["interpreted"] == verified["vectorized"] == clean
+
+    def test_one_program_alternating_between_two_maps(self):
+        dag = synthetic_dag(num_ops=18, num_inputs=6, seed=6, name="swap")
+        target = TargetSpec.square(32, RERAM)
+        program = compile_dag(dag, target, CompilerConfig(), cache=False)
+        inputs = _inputs_for(dag, 8, seed=7)
+        first, second = write_victims(program, dag, inputs, 8, count=2)
+        remapped = FaultMap({first: CellFault.STUCK0})
+        # the second victim's column has no healthy spare left
+        dry = FaultMap({second: CellFault.STUCK0})
+        array, _, col = second
+        for spare in program.spare_pool:
+            if (spare.array, spare.col) == (array, col):
+                dry.mark_dead(spare.array, spare.row, spare.col)
+        for fault_map in (remapped, dry, remapped, dry):
+            program.fault_map = fault_map
+            interpreted, vectorized = _run_both_verified(program, inputs, 8)
+            assert vectorized == interpreted
+            assert program.execute(inputs, 8, engine="vectorized") == (
+                program.execute(inputs, 8, engine="interpreted"))
+            if fault_map is remapped:
+                assert interpreted[0] == evaluate(dag, inputs, 8)
+                assert [logical for logical, _ in interpreted[3]] == [first]
+            else:
+                assert interpreted[0] == "hard fault"
 
 
 class TestInjectionStatistics:
