@@ -56,6 +56,31 @@ printf '[{}, {"s0_x[0]": 5}, {"s1_x[3]": 255}]\n' > "$BATCH_TMP/batch.json"
 python -m repro.cli run --workload bitweaving \
     --batch "$BATCH_TMP/batch.json" --engine vectorized
 
+echo "== vectorized campaign model check (1000 trials, Wilson vs P_app) =="
+python - <<'EOF'
+import sys
+
+from repro.arch.target import TargetSpec
+from repro.core import CompilerConfig, compile_dag
+from repro.devices import STT_MRAM
+from repro.reliability.campaign import run_campaign
+from repro.workloads.synthetic import synthetic_dag
+
+tech = STT_MRAM.with_variability(0.12, 0.12)
+target = TargetSpec.square(64, tech, num_arrays=4, max_activated_rows=4)
+dag = synthetic_dag(num_ops=24, num_inputs=8, seed=0, name="synthetic24")
+program = compile_dag(dag, target, CompilerConfig(mra=4), cache=False)
+result = run_campaign(program, trials=1000, seed=0, lanes=8,
+                      engine="vectorized")
+lo, hi = result.decision_wilson
+print(f"decision rate {result.decision_failure_rate:.4f} "
+      f"CI95 [{lo:.4f}, {hi:.4f}] vs analytic P_app "
+      f"{result.analytic_p_app:.4f}")
+if not result.analytic_within_interval:
+    sys.exit("vectorized campaign: analytic P_app outside the decision-rate "
+             "Wilson interval")
+EOF
+
 echo "== staged-program campaign smoke (recovery on a spill-and-partition program) =="
 python -m repro.cli campaign --workload bfs --size 32 --arrays 1 --trials 3 \
     --lanes 8 --policy reread-vote

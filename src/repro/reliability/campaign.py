@@ -145,13 +145,19 @@ def analytic_failure_probability(program, lanes: int = 64) -> float:
     Each lane of each sensed column is an independent sensing decision, so
     the no-failure probability is ``prod(1 - p_i) ** lanes`` — the Sec. 4.2
     ``P_app`` composition evaluated at the machine's lane count (the paper
-    quotes it per column op; a campaign observes all lanes at once).
+    quotes it per column op; a campaign observes all lanes at once).  The
+    lane-free sum ``log prod(1 - p_i)`` is computed once per program and
+    kept on it, like :attr:`~repro.core.compiler.CompiledProgram.metrics`.
     """
-    log_ok = 0.0
-    for p in sense_failure_probabilities(program):
-        if p >= 1.0:
-            return 1.0
-        log_ok += math.log1p(-p)
+    log_ok = program.__dict__.get("_analytic_log_ok")
+    if log_ok is None:
+        log_ok = 0.0
+        for p in sense_failure_probabilities(program):
+            if p >= 1.0:
+                log_ok = -math.inf  # lanes * -inf: the run always fails
+                break
+            log_ok += math.log1p(-p)
+        program.__dict__["_analytic_log_ok"] = log_ok
     return -math.expm1(lanes * log_ok)
 
 

@@ -31,12 +31,17 @@ Two execution plans are derived from a lowering on demand:
   single-row copies entirely and executes only the real column ops —
   bit-identical to the interpreted machine with ``fault_rng=None``;
 * the **injecting plan** keeps every sense (plain reads included, at
-  ``P_DF(NOT, 1)``, exactly like the interpreter) as a flip point.
-  Per-trial flips are drawn from counter-based Philox streams keyed by
-  ``(seed, trial)``, so batched campaign shards are bit-identical no
-  matter how the trial range is partitioned.  The *stream* differs from
-  the interpreter's geometric-gap sampler, but the per-lane flip
-  distribution is the same Bernoulli(``P_DF``).
+  ``P_DF(NOT, 1)``, exactly like the interpreter) as a flip point, and
+  groups the flip positions by distinct ``P_DF``.  Each trial owns a
+  counter-based Philox generator keyed by ``(seed, trial)``, so batched
+  campaign shards are bit-identical no matter how the trial range is
+  partitioned.  Per group it draws one Binomial(positions × lanes,
+  ``P_DF``) flip count, then that many distinct cells, and the flips
+  are XORed into the lane words at their sense step only: O(flips)
+  work per trial, not O(positions × lanes).  ``P_DF >= 1`` flips every
+  lane and ``P_DF = 0`` none, without a draw.  The draws differ from the
+  interpreter's ``random.Random`` stream, but the per-lane flip
+  distribution is the same independent Bernoulli(``P_DF``).
 
 Verify-after-write is a second lowering variant: reads-after-write
 return the written value through the dataflow (correct whether the cell
@@ -54,7 +59,6 @@ of the compile-once/execute-many serving story.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +149,12 @@ def pack_values(values, lanes: int) -> np.ndarray:
     mask = (1 << lanes) - 1
     width = _word_count(lanes)
     if width == 1:
-        return np.fromiter((v & mask for v in values), dtype=np.uint64
-                           ).reshape(-1, 1)
+        values = list(values)
+        try:
+            words = np.array(values, dtype=np.uint64)
+        except OverflowError:  # negative or wider than a word
+            words = np.array([v & mask for v in values], dtype=np.uint64)
+        return (words & np.uint64(mask)).reshape(-1, 1)
     rows = []
     for value in values:
         value &= mask
@@ -164,30 +172,6 @@ def unpack_values(words: np.ndarray, lanes: int) -> list[int]:
         for w in range(words.shape[1] - 1, -1, -1):
             value = (value << 64) | int(row[w])
         out.append(value)
-    return out
-
-
-def _pack_lane_bools(bools: np.ndarray, lanes: int) -> np.ndarray:
-    """Pack a ``(..., lanes)`` boolean array into ``(..., W)`` uint64 words."""
-    width = _word_count(lanes)
-    if sys.byteorder == "little":
-        # packbits to bytes, zero-pad to a word boundary, reinterpret
-        packed = np.packbits(bools, axis=-1, bitorder="little")
-        pad = width * 8 - packed.shape[-1]
-        if pad:
-            packed = np.concatenate(
-                [packed,
-                 np.zeros(bools.shape[:-1] + (pad,), dtype=np.uint8)],
-                axis=-1)
-        return np.ascontiguousarray(packed).view(np.uint64)
-    out = np.zeros(bools.shape[:-1] + (width,), dtype=np.uint64)
-    for w in range(width):
-        lo = 64 * w
-        hi = min(lanes, lo + 64)
-        chunk = bools[..., lo:hi].astype(np.uint64)
-        weights = np.left_shift(np.uint64(1),
-                                np.arange(hi - lo, dtype=np.uint64))
-        out[..., w] = (chunk * weights).sum(axis=-1)
     return out
 
 
@@ -505,7 +489,8 @@ class _Plan:
     outputs: dict[str, int]  # output name -> slot
     writes: list[tuple[tuple[int, int, int], int]]  # (logical cell, slot)
     n_positions: int  # total flip positions (injecting plans)
-    p_vector: np.ndarray | None  # (n_positions,) per-position P_DF
+    #: (P_DF, flip positions) per distinct sampled ``0 < P_DF < 1``
+    p_groups: list[tuple[float, np.ndarray]]
     #: the writes whose logical cell is faulty in the lowered map, and
     #: the rest (the verify pass sends only the former up the ladder)
     faulty_writes: list[tuple[tuple[int, int, int], int]]
@@ -567,12 +552,11 @@ def _build_plan(low: _Lowerer, tech, inject: bool) -> _Plan:
             pos += len(dst)
         steps.append(step)
 
-    p_vector = None
-    if inject and pos:
-        p_vector = np.empty(pos, dtype=np.float64)
-        for step in steps:
-            if step.sense:
-                p_vector[step.pos:step.pos + len(step.dst)] = step.p
+    by_p: dict[float, list[int]] = {}
+    for step in steps:
+        if step.sense and 0.0 < step.p < 1.0:
+            by_p.setdefault(step.p, []).extend(
+                range(step.pos, step.pos + len(step.dst)))
 
     writes = [(entry.logical, slots[resolve[entry.vid]])
               for entry in low.writes]
@@ -593,7 +577,8 @@ def _build_plan(low: _Lowerer, tech, inject: bool) -> _Plan:
                  for name, vid in low.outputs.items()},
         writes=writes,
         n_positions=pos,
-        p_vector=p_vector,
+        p_groups=[(p, np.array(members, dtype=np.int64))
+                  for p, members in by_p.items()],
         faulty_writes=faulty,
         clean_writes=clean)
 
@@ -644,6 +629,38 @@ def _scalar_rng_of(fault_rng) -> random.Random:
     if isinstance(fault_rng, np.random.Generator):
         return random.Random(int(fault_rng.integers(0, 2**63)))
     return random.Random(int(fault_rng))
+
+
+def _sample_flips(p_groups, gens, lanes: int):
+    """Draw the sense flips of a batch, one generator per trial, sparsely.
+
+    A group's cells are its flip positions × ``lanes``.  Per trial, one
+    Binomial(cells, p) count per group, then that many distinct cells of
+    the group uniformly: the law of an independent Bernoulli(p) per cell
+    in O(flips) draws.  Returns the per-trial counts and, when any flip
+    was drawn, the flips as ``(position, trial, word, bit)`` arrays sorted
+    by position.
+    """
+    counts = np.zeros(len(gens), dtype=np.int64)
+    # scalar draws: one array-valued binomial call costs several of them
+    groups = [(len(positions) * lanes, p, positions)
+              for p, positions in p_groups]
+    parts = []
+    for t, gen in enumerate(gens):
+        for size, p, positions in groups:
+            n = gen.binomial(size, p)
+            if n:
+                counts[t] += n
+                cells = gen.choice(size, n, replace=False)
+                parts.append((positions[cells // lanes], np.full(n, t),
+                              cells % lanes))
+    if not parts:
+        return counts, None
+    pos, trial, lane = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(pos)
+    lane = lane[order]
+    return counts, (pos[order], trial[order], lane >> 6,
+                    np.left_shift(np.uint64(1), (lane & 63).astype(np.uint64)))
 
 
 class VectorProgram:
@@ -717,20 +734,13 @@ class VectorProgram:
         for name, slot in plan.inputs.items():
             values[slot] = packed[name]
 
-        flip_words = None
-        if inject and plan.n_positions:
-            flips = np.empty((batch, plan.n_positions, lanes), dtype=bool)
-            p_col = plan.p_vector[:, None]
-            for t, gen in enumerate(gens):
-                flips[t] = gen.random((plan.n_positions, lanes)) < p_col
-            counts = flips.sum(axis=(1, 2))
+        flips = None
+        if inject:
+            counts, flips = _sample_flips(plan.p_groups, gens, lanes)
+            counts += lanes * sum(len(step.dst) for step in plan.steps
+                                  if step.p >= 1.0)
             machine.trial_faults = counts
             machine.injected_faults += int(counts.sum())
-            # (positions, B, W) so per-step slices need no transpose
-            flip_words = _pack_lane_bools(
-                np.ascontiguousarray(flips.transpose(1, 0, 2)), lanes)
-        elif inject:
-            machine.trial_faults = np.zeros(batch, dtype=np.int64)
 
         for step in plan.steps:
             if step.k <= 1:
@@ -753,9 +763,16 @@ class VectorProgram:
                     result = np.bitwise_xor.reduce(srcv, axis=0)
             if step.invert:
                 result = result ^ maskw
-            if flip_words is not None and step.sense:
-                result = result ^ flip_words[step.pos:step.pos
-                                             + len(step.dst)]
+            if step.p >= 1.0:  # only injecting plans price their senses
+                result ^= maskw
+            elif flips is not None and step.sense:
+                pos, trial, word, bit = flips
+                lo, hi = np.searchsorted(pos, (step.pos,
+                                               step.pos + len(step.dst)))
+                if hi > lo:
+                    np.bitwise_xor.at(result, (pos[lo:hi] - step.pos,
+                                               trial[lo:hi], word[lo:hi]),
+                                      bit[lo:hi])
             values[step.dst] = result
 
         if self.verify:

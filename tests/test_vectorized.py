@@ -15,6 +15,7 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,14 +26,24 @@ from repro.core.config import CompilerConfig
 from repro.devices import RERAM, STT_MRAM, CellFault, FaultMap
 from repro.dfg import DataFlowGraph, OpType, evaluate, evaluate_many
 from repro.errors import HardFaultError, SherlockError
+from repro.reliability.campaign import (
+    ShardOutcome,
+    run_campaign,
+    run_trial_block,
+    sense_failure_probabilities,
+    shard_ranges,
+)
 from repro.reliability.recovery import POLICIES, get_policy
 from repro.sim.endurance import static_write_counts
 from repro.sim.executor import extract_outputs, preload_sources
 from repro.sim.vectorized import (
     ENGINES,
     VectorMachine,
+    campaign_trials,
     execute as vector_execute,
+    pack_values,
     resolve_engine,
+    unpack_values,
     validate_engine,
     vector_program,
 )
@@ -319,6 +330,14 @@ class TestExecuteMany:
             program.execute_many([good, {"x0": 1}], 16)
 
 
+
+@pytest.mark.parametrize("lanes", [8, 64, 65])
+def test_pack_values_masks_any_int(lanes):
+    """Wide and negative values pack as their low ``lanes`` bits."""
+    values = [0, 5, (1 << lanes) - 1, (1 << lanes) | 3, -1, (1 << 70) + 9]
+    assert unpack_values(pack_values(values, lanes), lanes) == \
+        [value & ((1 << lanes) - 1) for value in values]
+
 class TestLoweringCache:
     def test_cached_lowering_reads_its_program(self):
         dag = synthetic_dag(num_ops=8, num_inputs=4, seed=0, name="cached")
@@ -455,6 +474,121 @@ class TestInjectionStatistics:
         assert totals["vectorized"] > 0
         ratio = totals["vectorized"] / totals["interpreted"]
         assert 0.7 < ratio < 1.4, totals
+
+
+
+def _and_program():
+    """Independent 2-input ANDs: each output cell holds exactly one sense."""
+    dag = DataFlowGraph("ands")
+    xs = [dag.add_input(f"x{i}") for i in range(6)]
+    for i in range(3):
+        dag.mark_output(dag.add_op(OpType.AND, xs[2 * i:2 * i + 2]), f"o{i}")
+    return dag, compile_dag(dag, TargetSpec.square(16, STT_MRAM), cache=False)
+
+
+def _forced_p_df(monkeypatch, p_of):
+    """Make both engines price every sense with ``p_of(op, k)``."""
+    import repro.sim.executor as executor_module
+    import repro.sim.vectorized as vectorized_module
+
+    def patched(tech, op, k):
+        return p_of(op, k)
+
+    monkeypatch.setattr(executor_module, "cached_p_df", patched)
+    monkeypatch.setattr(vectorized_module, "cached_p_df", patched)
+
+
+def _campaign_program():
+    dag = synthetic_dag(num_ops=24, num_inputs=8, seed=3, name="samp")
+    tech = STT_MRAM.with_variability(0.12, 0.12)
+    target = TargetSpec.square(64, tech, num_arrays=4, max_activated_rows=4)
+    return compile_dag(dag, target, CompilerConfig(mra=4), cache=False)
+
+
+class TestSparseSampler:
+    """The packed engine's O(flips) Philox sense-flip sampler."""
+
+    def test_campaign_trials_independent_of_chunk(self):
+        program = _campaign_program()
+        sets = [_inputs_for(program.source_dag, 8, seed)
+                for seed in range(40)]
+        keys = [1000 + trial for trial in range(40)]
+        runs = [campaign_trials(program, sets, keys, 8, chunk=chunk)
+                for chunk in (1, 7, 512)]
+        assert runs[0][0].sum() > 0
+        for flips, mismatch in runs[1:]:
+            assert (flips == runs[0][0]).all()
+            assert (mismatch == runs[0][1]).all()
+
+    def test_sharded_campaign_equals_unsharded(self):
+        program = _campaign_program()
+        whole = run_trial_block(program, 0, 50, 11, "none", 8,
+                                engine="vectorized")
+        assert whole.decision_failures > 0
+        for workers in (2, 3):
+            merged = ShardOutcome()
+            for first, count in shard_ranges(50, workers):
+                merged.merge(run_trial_block(program, first, count, 11,
+                                             "none", 8, engine="vectorized"))
+            assert merged == whole
+        assert run_campaign(program, trials=50, seed=11, lanes=8,
+                            engine="vectorized", workers=2) == \
+            run_campaign(program, trials=50, seed=11, lanes=8,
+                         engine="vectorized", workers=1)
+
+    @pytest.mark.parametrize("lanes", [8, 65])
+    def test_flips_stay_in_lanes_and_are_counted(self, monkeypatch, lanes):
+        """Every output is one sense, so its wrong bits are its flips."""
+        _forced_p_df(monkeypatch, lambda op, k: 0.3)
+        dag, program = _and_program()
+        vp = vector_program(program)
+        sets = [_inputs_for(dag, lanes, seed) for seed in range(64)]
+        packed = {name: pack_values([s[name] for s in sets], lanes)
+                  for name in vp.plan(True).inputs}
+        machine = VectorMachine(lanes)
+        gens = [np.random.Generator(np.random.Philox(seed))
+                for seed in range(64)]
+        out = vp.run_packed(packed, 64, lanes, machine, gens=gens)
+        expected = evaluate_many(dag, sets, lanes)
+        applied = np.zeros(64, dtype=np.int64)
+        for name, words in out.items():
+            for trial, value in enumerate(unpack_values(words, lanes)):
+                assert value >> lanes == 0
+                applied[trial] += bin(value ^ expected[trial][name]).count("1")
+        assert (machine.trial_faults == applied).all()
+        assert machine.injected_faults == applied.sum() > 0
+        if lanes > 64:
+            assert any(words[:, 1].any() for words in out.values())
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5])
+    def test_certain_groups_match_the_interpreter(self, monkeypatch, p):
+        """``p >= 1`` flips every lane and ``p = 0`` none, drawing nothing."""
+        _forced_p_df(monkeypatch, lambda op, k: p if op is OpType.AND
+                     else 0.0)
+        dag, program = _and_program()
+        inputs = _inputs_for(dag, 16)
+        vmachine = VectorMachine(16)
+        gen = np.random.Generator(np.random.Philox(5))
+        got = vector_execute(program, inputs, lanes=16, fault_rng=gen,
+                             machine=vmachine)
+        assert gen.random() == np.random.Generator(np.random.Philox(5)).random()
+        machine = program.machine(16, fault_rng=random.Random(5))
+        preload_sources(machine, program.layout, program.dag, inputs)
+        machine.run(program.instructions)
+        assert got == extract_outputs(machine, program.layout, program.dag)
+        assert vmachine.injected_faults == machine.injected_faults
+        assert vmachine.injected_faults == (48 if p else 0)
+
+    def test_mean_flips_match_the_model(self):
+        program = _campaign_program()
+        probs = np.array(sense_failure_probabilities(program))
+        assert vector_program(program).plan(True).n_positions == len(probs)
+        trials, lanes = 4000, 8
+        sets = [_inputs_for(program.source_dag, lanes)] * trials
+        flips, _ = campaign_trials(program, sets, range(trials), lanes)
+        mean = lanes * probs.sum()
+        sigma = np.sqrt(lanes * (probs * (1 - probs)).sum() / trials)
+        assert abs(flips.mean() - mean) < 4 * sigma, (flips.mean(), mean)
 
 
 @st.composite
